@@ -13,9 +13,11 @@
 // P90 but diverge hard at the extreme tail (busy non-realtime hosts stall);
 // inter-pod sits tens of microseconds above intra-pod; payload pings cost a
 // bit at P50 and more at P99.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.h"
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "controller/generator.h"
 #include "core/scenarios.h"
@@ -26,10 +28,10 @@ namespace {
 using namespace pingmesh;
 
 struct DcHists {
-  LatencyHistogram intra_pod;
-  LatencyHistogram inter_pod;
-  LatencyHistogram payload;           // payload echo RTT (inter-pod)
-  LatencyHistogram inter_no_payload;  // connect RTT of payload-free probes
+  LatencySketch intra_pod;
+  LatencySketch inter_pod;
+  LatencySketch payload;           // payload echo RTT (inter-pod)
+  LatencySketch inter_no_payload;  // connect RTT of payload-free probes
 };
 
 }  // namespace
@@ -90,12 +92,11 @@ int main(int argc, char** argv) {
                      format_latency_ns(dc[0].inter_pod.p999()));
   bench::compare_row("DC2 P99.9", "11.07ms",
                      format_latency_ns(dc[1].inter_pod.p999()));
-  bench::compare_row("DC1 P99.99", "1397.63ms",
-                     format_latency_ns(dc[0].inter_pod.p9999()));
-  bench::compare_row("DC2 P99.99", "105.84ms",
-                     format_latency_ns(dc[1].inter_pod.p9999()));
-  double tail_ratio = static_cast<double>(dc[0].inter_pod.p9999()) /
-                      static_cast<double>(dc[1].inter_pod.p9999());
+  const std::int64_t dc1_p9999 = dc[0].inter_pod.quantile(0.9999);
+  const std::int64_t dc2_p9999 = dc[1].inter_pod.quantile(0.9999);
+  bench::compare_row("DC1 P99.99", "1397.63ms", format_latency_ns(dc1_p9999));
+  bench::compare_row("DC2 P99.99", "105.84ms", format_latency_ns(dc2_p9999));
+  double tail_ratio = static_cast<double>(dc1_p9999) / static_cast<double>(dc2_p9999);
   bench::compare_row("P99.99 ratio DC1/DC2 (who wins)", "13.2x",
                      std::to_string(tail_ratio).substr(0, 5) + "x");
 
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
 
   // ---- shape assertions -------------------------------------------------------
   bench::heading("shape checks");
-  bool tail_diverges = dc[0].inter_pod.p9999() > 3 * dc[1].inter_pod.p9999();
+  bool tail_diverges = dc1_p9999 > 3 * dc2_p9999;
   bool inter_above_intra = dc[0].inter_pod.p50() > dc[0].intra_pod.p50();
   bool payload_costs = dc[0].payload.p50() > dc[0].inter_no_payload.p50() &&
                        dc[0].payload.p99() > dc[0].inter_no_payload.p99();

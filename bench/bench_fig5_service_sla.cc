@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
              stdout);
   std::printf("\n  packet drop rate (Figure 5(b) shape):\n");
   std::fputs(
-      ascii_chart(drop_series, AsciiChartOptions{.width = 50, .log_scale = true}).c_str(),
+      ascii_chart(drop_series, AsciiChartOptions{.width = 50, .log_scale = true, .unit = ""}).c_str(),
       stdout);
 
   bench::heading("summary vs paper");

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       records.push_back(bench::to_record(topo, p));
     });
 
-    analysis::DropEstimate est = analysis::estimate_drop_rate(records);
+    agent::ProbeCounts est = analysis::estimate_drop_rate(records);
     std::string event;
     if (!isolated) {
       auto affected = localizer.detect_affected_dc(records, topo);
@@ -80,23 +80,23 @@ int main(int argc, char** argv) {
         }
       }
     }
-    std::printf("  %-5d %12s  %s\n", hour, format_rate(est.rate()).c_str(), event.c_str());
+    std::printf("  %-5d %12s  %s\n", hour, format_rate(est.drop_rate()).c_str(), event.c_str());
     char label[16];
     std::snprintf(label, sizeof(label), "h%02d", hour);
-    rate_series.emplace_back(label, est.rate());
+    rate_series.emplace_back(label, est.drop_rate());
 
     if (hour < 16) {
-      baseline_max = std::max(baseline_max, est.rate());
+      baseline_max = std::max(baseline_max, est.drop_rate());
     } else if (!isolated || hour <= isolation_hour) {
-      incident_max = std::max(incident_max, est.rate());
+      incident_max = std::max(incident_max, est.drop_rate());
     } else {
-      post_max = std::max(post_max, est.rate());
+      post_max = std::max(post_max, est.drop_rate());
     }
   }
 
   bench::heading("the Figure 7 shape (log-scale drop rate)");
   std::fputs(
-      ascii_chart(rate_series, AsciiChartOptions{.width = 50, .log_scale = true}).c_str(),
+      ascii_chart(rate_series, AsciiChartOptions{.width = 50, .log_scale = true, .unit = ""}).c_str(),
       stdout);
 
   bench::heading("summary vs paper");

@@ -18,6 +18,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "controller/generator.h"
 #include "core/scenarios.h"
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
 
   // Probe: only the inter-DC targets matter here.
   core::FleetProbeDriver driver(topo, net, gen);
-  std::map<PairKey, LatencyHistogram> pair_hist;
+  std::map<PairKey, LatencySketch> pair_hist;
   std::map<PairKey, std::uint64_t> pair_sig;
   std::map<PairKey, std::uint64_t> pair_ok;
   driver.run_dense(0, 40, minutes(1), [&](const core::FleetProbe& p) {

@@ -21,6 +21,7 @@
 #include "analysis/droprate.h"
 #include "analysis/silentdrop.h"
 #include "bench_util.h"
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "controller/generator.h"
 #include "core/scenarios.h"
@@ -64,7 +65,7 @@ IcwResult run_icw(const topo::Topology& topo, int icw, std::uint64_t seed) {
   out.mean_round_trips = rtts / static_cast<double>(finish_ms.size());
 
   // Pingmesh view: single-packet connect probes between the same DCs.
-  LatencyHistogram hist;
+  LatencySketch hist;
   std::uint64_t ok = 0, sig = 0;
   for (int i = 0; i < 30000; ++i) {
     auto probe = net.tcp_probe(a, b, static_cast<std::uint16_t>(32768 + (i % 28000)),

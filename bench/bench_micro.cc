@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,18 +13,17 @@
 #include "agent/record.h"
 #include "analysis/blackhole.h"
 #include "analysis/heatmap.h"
-#include "common/stats.h"
+#include "common/rng.h"
+#include "common/sketch.h"
 #include "common/xml.h"
 #include "controller/generator.h"
 #include "core/fleet.h"
 #include "core/scenarios.h"
 #include "core/simulation.h"
-#include "dsa/jobs.h"
-#include "dsa/scope.h"
+#include "dsa/database.h"
 #include "netsim/simnet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "streaming/sketch.h"
 #include "topology/topology.h"
 
 namespace {
@@ -96,30 +96,8 @@ void BM_SimTcpProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SimTcpProbe);
 
-void BM_HistogramRecord(benchmark::State& state) {
-  LatencyHistogram hist;
-  Rng rng(7);
-  std::int64_t v = 250'000;
-  for (auto _ : state) {
-    hist.record(v);
-    v = static_cast<std::int64_t>(rng.uniform(10'000, 10'000'000));
-  }
-  benchmark::DoNotOptimize(hist.count());
-}
-BENCHMARK(BM_HistogramRecord);
-
-void BM_HistogramQuantile(benchmark::State& state) {
-  LatencyHistogram hist;
-  Rng rng(8);
-  for (int i = 0; i < 1'000'000; ++i) {
-    hist.record(static_cast<std::int64_t>(rng.lognormal(12.5, 1.0)));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(hist.p99());
-}
-BENCHMARK(BM_HistogramQuantile);
-
 void BM_SketchRecord(benchmark::State& state) {
-  streaming::LatencySketch sk;
+  LatencySketch sk;
   Rng rng(7);
   std::int64_t v = 250'000;
   for (auto _ : state) {
@@ -131,8 +109,8 @@ void BM_SketchRecord(benchmark::State& state) {
 BENCHMARK(BM_SketchRecord);
 
 void BM_SketchMerge(benchmark::State& state) {
-  streaming::LatencySketch a;
-  streaming::LatencySketch b;
+  LatencySketch a;
+  LatencySketch b;
   Rng rng(9);
   for (int i = 0; i < 100'000; ++i) {
     b.record(static_cast<std::int64_t>(rng.uniform(10'000, 10'000'000)));
@@ -145,7 +123,7 @@ void BM_SketchMerge(benchmark::State& state) {
 BENCHMARK(BM_SketchMerge);
 
 void BM_SketchQuantile(benchmark::State& state) {
-  streaming::LatencySketch sk;
+  LatencySketch sk;
   Rng rng(10);
   for (int i = 0; i < 1'000'000; ++i) {
     sk.record(static_cast<std::int64_t>(rng.lognormal(12.5, 1.0)));
@@ -200,12 +178,12 @@ void BM_ScopeAggregateByPod(benchmark::State& state) {
     r.rtt = static_cast<std::int64_t>(rng.lognormal(12.5, 0.6));
     rows.push_back(r);
   }
-  dsa::scope::DataSet<agent::LatencyRecord> data(rows);
   for (auto _ : state) {
-    auto groups = data.aggregate_by<dsa::LatencyAggregator>(
-        [&](const agent::LatencyRecord& r) {
-          return topo.server(topo.server_by_ip(r.src_ip)).pod.value;
-        });
+    // The SCOPE jobs' GROUP BY: one pass into a per-key ProbeStats.
+    std::map<std::uint32_t, agent::ProbeStats> groups;
+    for (const agent::LatencyRecord& r : rows) {
+      groups[topo.server(topo.server_by_ip(r.src_ip)).pod.value].add(r.success, r.rtt);
+    }
     benchmark::DoNotOptimize(groups.size());
   }
   state.SetItemsProcessed(state.iterations() * 50'000);

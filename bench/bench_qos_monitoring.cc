@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "controller/generator.h"
 #include "core/scenarios.h"
@@ -23,8 +24,8 @@ namespace {
 using namespace pingmesh;
 
 struct ClassStats {
-  LatencyHistogram high;
-  LatencyHistogram low;
+  LatencySketch high;
+  LatencySketch low;
 };
 
 ClassStats run_mesh(const topo::Topology& topo, bool congested, std::uint64_t seed) {

@@ -14,7 +14,7 @@
 // simulator's ground truth (the paper validated against NIC/ToR counters).
 #include <cstdio>
 
-#include "analysis/droprate.h"
+#include "agent/counters.h"
 #include "bench_util.h"
 #include "controller/generator.h"
 #include "core/scenarios.h"
@@ -25,21 +25,11 @@ namespace {
 using namespace pingmesh;
 
 struct DcAcc {
-  analysis::DropEstimate intra;
-  analysis::DropEstimate inter;
+  agent::ProbeCounts intra;
+  agent::ProbeCounts inter;
   std::uint64_t truth_intra_drops = 0;  // ground truth: probes with >= 1 drop
   std::uint64_t truth_inter_drops = 0;
 };
-
-void account(analysis::DropEstimate& e, const netsim::ProbeOutcome& o) {
-  if (!o.success) {
-    ++e.failed_probes;
-    return;
-  }
-  ++e.successful_probes;
-  if (o.syn_transmissions == 2) ++e.probes_3s;
-  if (o.syn_transmissions == 3) ++e.probes_9s;
-}
 
 std::string rate9(double r) {
   char buf[32];
@@ -71,7 +61,7 @@ int main(int argc, char** argv) {
     const topo::Server& dst = topo.server(p.dst);
     DcAcc& a = acc[src.dc.value];
     bool intra = src.pod == dst.pod;
-    account(intra ? a.intra : a.inter, p.outcome);
+    (intra ? a.intra : a.inter).add(p.outcome.success, p.outcome.rtt);
     if (p.outcome.success && p.outcome.packets_dropped > 0) {
       (intra ? a.truth_intra_drops : a.truth_inter_drops) += 1;
     }
@@ -87,8 +77,8 @@ int main(int argc, char** argv) {
   bool all_in_band = true;
   bool inter_above_intra = true;
   for (std::size_t d = 0; d < 5; ++d) {
-    double mi = acc[d].intra.rate();
-    double me = acc[d].inter.rate();
+    double mi = acc[d].intra.drop_rate();
+    double me = acc[d].inter.drop_rate();
     std::printf("  %-18s %10s / %-11s %10s / %-11s\n",
                 core::table1_dc_labels()[d].c_str(), rate9(kPaperIntra[d]).c_str(),
                 rate9(mi).c_str(), rate9(kPaperInter[d]).c_str(), rate9(me).c_str());
@@ -98,10 +88,10 @@ int main(int argc, char** argv) {
 
   bench::heading("heuristic vs ground truth (paper: verified on a single-ToR network)");
   for (std::size_t d = 0; d < 5; ++d) {
-    double est = acc[d].intra.rate();
-    double truth = acc[d].intra.successful_probes
+    double est = acc[d].intra.drop_rate();
+    double truth = acc[d].intra.successes
                        ? static_cast<double>(acc[d].truth_intra_drops) /
-                             static_cast<double>(acc[d].intra.successful_probes)
+                             static_cast<double>(acc[d].intra.successes)
                        : 0.0;
     std::printf("  DC%zu intra-pod: heuristic %s vs ground truth %s\n", d + 1,
                 rate9(est).c_str(), rate9(truth).c_str());

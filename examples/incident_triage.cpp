@@ -13,6 +13,7 @@
 #include "analysis/heatmap.h"
 #include "analysis/silentdrop.h"
 #include "autopilot/repair.h"
+#include "common/stats.h"
 #include "controller/generator.h"
 #include "core/fleet.h"
 #include "dsa/jobs.h"
@@ -44,10 +45,10 @@ std::vector<agent::LatencyRecord> probe_window(const topo::Topology& topo,
 }
 
 void show_health(const char* when, const std::vector<agent::LatencyRecord>& records) {
-  analysis::DropEstimate est = analysis::estimate_drop_rate(records);
+  agent::ProbeCounts est = analysis::estimate_drop_rate(records);
   std::printf("%-22s drop rate %s over %lu probes\n", when,
-              format_rate(est.rate()).c_str(),
-              static_cast<unsigned long>(est.successful_probes + est.failed_probes));
+              format_rate(est.drop_rate()).c_str(),
+              static_cast<unsigned long>(est.probes));
 }
 
 }  // namespace
@@ -73,10 +74,10 @@ int main() {
   show_health("incident window:", incident);
 
   // 3a. Is it the network?
-  analysis::DropEstimate est = analysis::estimate_drop_rate(incident);
+  agent::ProbeCounts est = analysis::estimate_drop_rate(incident);
   std::printf("\n'network problem?' -> %s (drop rate %s vs 1e-3 threshold)\n",
-              est.rate() > 1e-3 ? "YES, the network is guilty" : "no",
-              format_rate(est.rate()).c_str());
+              est.drop_rate() > 1e-3 ? "YES, the network is guilty" : "no",
+              format_rate(est.drop_rate()).c_str());
 
   // 3b. Which tier? Which switch?
   analysis::SilentDropLocalizer localizer;
@@ -114,6 +115,6 @@ int main() {
   auto after = probe_window(topo, net, gen, hours(2));
   show_health("after isolation:", after);
 
-  analysis::DropEstimate post = analysis::estimate_drop_rate(after);
-  return (report.culprit == culprit_truth && post.rate() < 2e-4) ? 0 : 1;
+  agent::ProbeCounts post = analysis::estimate_drop_rate(after);
+  return (report.culprit == culprit_truth && post.drop_rate() < 2e-4) ? 0 : 1;
 }

@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "agent/agent.h"
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "controller/generator.h"
 #include "controller/service.h"
@@ -70,8 +71,8 @@ int main() {
   agent::PingmeshAgent agent(self.name, self.ip, acfg, uploader);
 
   net::TcpProber prober(reactor);
-  LatencyHistogram connect_hist;
-  LatencyHistogram payload_hist;
+  LatencySketch connect_hist;
+  LatencySketch payload_hist;
   std::uint64_t launched = 0, done = 0, failed = 0;
 
   // Drive the agent on wall-clock time for ~3 seconds; accelerate its

@@ -11,6 +11,7 @@
 #include "analysis/heatmap.h"
 #include "analysis/server_selection.h"
 #include "analysis/sla.h"
+#include "common/stats.h"
 #include "core/scenarios.h"
 #include "core/simulation.h"
 

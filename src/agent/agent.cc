@@ -60,7 +60,7 @@ void PingmeshAgent::enable_observability(obs::MetricsRegistry& registry,
   hooks_.log_dup_avoided = &registry.counter("agent.local_log_dup_avoided_total");
   // Count-valued histograms: unit-1 floor, range wide enough for the
   // buffer cap.
-  streaming::LatencySketch::Config counts;
+  LatencySketch::Config counts;
   counts.min_value_ns = 1;
   counts.max_value_ns = 1'000'000;
   hooks_.upload_batch = &registry.histogram("agent.upload_batch_records", "", counts);

@@ -2,47 +2,16 @@
 
 namespace pingmesh::agent {
 
-// Default LatencySketch geometry: 1% relative error, 1 us .. 60 s. All
-// agents share it so the PA path can merge their window sketches directly.
-PerfCounters::PerfCounters(SimTime window_start)
-    : window_start_(window_start), sketch_() {
-  cur_.window_start = window_start;
-}
-
-void PerfCounters::record_probe(bool success, SimTime rtt) {
-  ++cur_.probes;
-  if (!success) {
-    ++cur_.failures;
-    return;
-  }
-  ++cur_.successes;
-  switch (syn_drop_signature(rtt)) {
-    case 1:
-      ++cur_.probes_3s;
-      return;
-    case 2:
-      ++cur_.probes_9s;
-      return;
-    default:
-      sketch_.record(rtt);
-  }
-}
-
 CounterSnapshot PerfCounters::peek(SimTime now) const {
   CounterSnapshot s = cur_;
   s.window_end = now;
-  s.p50_ns = sketch_.p50();
-  s.p99_ns = sketch_.p99();
-  s.latency = sketch_;
   return s;
 }
 
 CounterSnapshot PerfCounters::collect(SimTime now) {
   CounterSnapshot s = peek(now);
-  cur_ = CounterSnapshot{};
+  cur_.clear();
   cur_.window_start = now;
-  sketch_.clear();
-  window_start_ = now;
   return s;
 }
 

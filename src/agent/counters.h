@@ -1,14 +1,16 @@
-// Agent-local performance counters (paper §3.5): "the Pingmesh Agent
-// performs local calculation on the latency data and produces a set of
-// performance counters including the packet drop rate, the network latency
-// at 50th the 99th percentile". These are the counters the Autopilot
-// Perfcounter Aggregator collects on its faster 5-minute pipeline.
+// Probe statistics: the one reading of a probe outcome every analysis
+// shares, and the agent-local performance counters built on it (paper
+// §3.5): "the Pingmesh Agent performs local calculation on the latency data
+// and produces a set of performance counters including the packet drop
+// rate, the network latency at 50th the 99th percentile". These are the
+// counters the Autopilot Perfcounter Aggregator collects on its faster
+// 5-minute pipeline.
 #pragma once
 
 #include <cstdint>
 
+#include "common/sketch.h"
 #include "common/types.h"
-#include "streaming/sketch.h"
 
 namespace pingmesh::agent {
 
@@ -22,41 +24,105 @@ namespace pingmesh::agent {
   return 0;
 }
 
-struct CounterSnapshot {
-  SimTime window_start = 0;
-  SimTime window_end = 0;
+/// The §3.5/§4.2 probe rule as five counters. A probe failed (its connect
+/// never completed), or it carries a 3 s or 9 s SYN-drop signature, or its
+/// connect RTT is a clean latency sample. Every per-server, pod-pair,
+/// service and window aggregate counts probes through add().
+struct ProbeCounts {
   std::uint64_t probes = 0;
   std::uint64_t successes = 0;
-  std::uint64_t failures = 0;      ///< connect never completed
-  std::uint64_t probes_3s = 0;     ///< one-SYN-drop signatures
-  std::uint64_t probes_9s = 0;     ///< two-SYN-drop signatures
-  std::int64_t p50_ns = 0;
-  std::int64_t p99_ns = 0;
-  /// Mergeable sketch of the window's clean RTTs. Lets the Perfcounter
-  /// Aggregator compute true pod-level percentiles by merging server
-  /// sketches instead of probe-weighted means of server p50/p99 (empty when
-  /// a snapshot was built by hand from bare counters — consumers fall back
-  /// to the scalar fields then).
-  streaming::LatencySketch latency;
+  std::uint64_t failures = 0;   ///< connect never completed
+  std::uint64_t probes_3s = 0;  ///< one-SYN-drop signatures
+  std::uint64_t probes_9s = 0;  ///< two-SYN-drop signatures
 
+  /// Count one outcome. True when `rtt` is a clean latency sample: a
+  /// success without a retransmit signature (a 3 s connect is a drop
+  /// artifact, not a latency sample).
+  bool add(bool success, SimTime rtt) {
+    ++probes;
+    if (!success) {
+      ++failures;
+      return false;
+    }
+    ++successes;
+    switch (syn_drop_signature(rtt)) {
+      case 1:
+        ++probes_3s;
+        return false;
+      case 2:
+        ++probes_9s;
+        return false;
+      default:
+        return true;
+    }
+  }
+
+  void merge(const ProbeCounts& o) {
+    probes += o.probes;
+    successes += o.successes;
+    failures += o.failures;
+    probes_3s += o.probes_3s;
+    probes_9s += o.probes_9s;
+  }
+
+  [[nodiscard]] std::uint64_t drop_signatures() const { return probes_3s + probes_9s; }
   /// The paper's drop-rate estimator:
   ///   (probes with 3s rtt + probes with 9s rtt) / total successful probes.
+  /// Failed probes stay out of the denominator (a drop and a dead receiver
+  /// look alike), and a 9 s probe counts once.
   [[nodiscard]] double drop_rate() const {
-    if (successes == 0) return 0.0;
-    return static_cast<double>(probes_3s + probes_9s) / static_cast<double>(successes);
+    return successes ? static_cast<double>(drop_signatures()) / static_cast<double>(successes)
+                     : 0.0;
   }
+  /// Fraction of probes whose connect never completed (black-hole shape).
+  [[nodiscard]] double failure_rate() const {
+    return probes ? static_cast<double>(failures) / static_cast<double>(probes) : 0.0;
+  }
+
+  [[nodiscard]] bool operator==(const ProbeCounts&) const = default;
+};
+
+/// ProbeCounts plus a sketch of the clean RTTs: the mergeable probe
+/// aggregate behind the agent counters, the PA, the SCOPE jobs, the
+/// streaming sub-windows and the serving rollup cells. They all share one
+/// sketch geometry, so batch, streaming and serving percentiles over the
+/// same probes come from the same bucket counts.
+struct ProbeStats : ProbeCounts {
+  /// 2% relative error over 1 us .. 16 s (416 buckets, ~3.3 KB): every
+  /// clean RTT, with the signature bands counted rather than sketched.
+  static constexpr LatencySketch::Config kSketch{/*relative_error=*/0.02,
+                                                 /*min_value_ns=*/1'000,
+                                                 /*max_value_ns=*/16 * kNanosPerSecond};
+
+  LatencySketch latency{kSketch};
+
+  void add(bool success, SimTime rtt) {
+    if (ProbeCounts::add(success, rtt)) latency.record(rtt);
+  }
+  void merge(const ProbeStats& o) {
+    ProbeCounts::merge(o);
+    latency.merge(o.latency);
+  }
+  /// Back to empty, keeping the sketch's buckets (no allocation).
+  void clear() {
+    static_cast<ProbeCounts&>(*this) = ProbeCounts{};
+    latency.clear();
+  }
+};
+
+/// One window of an agent's counters.
+struct CounterSnapshot : ProbeStats {
+  SimTime window_start = 0;
+  SimTime window_end = 0;
 };
 
 /// Windowed counters; collect() returns the finished window and starts a
 /// fresh one.
 class PerfCounters {
  public:
-  explicit PerfCounters(SimTime window_start = 0);
+  explicit PerfCounters(SimTime window_start = 0) { cur_.window_start = window_start; }
 
-  /// Record one probe outcome. Only clean RTTs (no retransmit signature)
-  /// enter the latency percentiles — a 3 s connect is a drop artifact, not
-  /// a latency sample.
-  void record_probe(bool success, SimTime rtt);
+  void record_probe(bool success, SimTime rtt) { cur_.add(success, rtt); }
 
   [[nodiscard]] CounterSnapshot peek(SimTime now) const;
   CounterSnapshot collect(SimTime now);
@@ -64,12 +130,10 @@ class PerfCounters {
   /// Approximate memory footprint (agent memory budget accounting). The
   /// sketch is fixed-size, so agent memory is bounded regardless of probe
   /// volume (§3.4.2 safety requirement).
-  [[nodiscard]] std::size_t memory_bytes() const { return sketch_.memory_bytes(); }
+  [[nodiscard]] std::size_t memory_bytes() const { return cur_.latency.memory_bytes(); }
 
  private:
-  SimTime window_start_;
-  CounterSnapshot cur_{};
-  streaming::LatencySketch sketch_;
+  CounterSnapshot cur_;
 };
 
 }  // namespace pingmesh::agent

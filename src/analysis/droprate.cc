@@ -1,37 +1,18 @@
 #include "analysis/droprate.h"
 
-#include "agent/counters.h"
-
 namespace pingmesh::analysis {
 
-DropEstimate estimate_drop_rate(const std::vector<agent::LatencyRecord>& records) {
-  DropEstimate e;
-  for (const agent::LatencyRecord& r : records) {
-    if (!r.success) {
-      ++e.failed_probes;
-      continue;
-    }
-    ++e.successful_probes;
-    switch (agent::syn_drop_signature(r.rtt)) {
-      case 1: ++e.probes_3s; break;
-      case 2: ++e.probes_9s; break;
-      default: break;
-    }
-  }
+agent::ProbeCounts estimate_drop_rate(const std::vector<agent::LatencyRecord>& records) {
+  agent::ProbeCounts e;
+  for (const agent::LatencyRecord& r : records) e.add(r.success, r.rtt);
   return e;
 }
 
-std::map<PairKey, PairStats> per_pair_stats(const std::vector<agent::LatencyRecord>& records) {
-  std::map<PairKey, PairStats> out;
+std::map<PairKey, agent::ProbeCounts> per_pair_stats(
+    const std::vector<agent::LatencyRecord>& records) {
+  std::map<PairKey, agent::ProbeCounts> out;
   for (const agent::LatencyRecord& r : records) {
-    PairStats& s = out[PairKey{r.src_ip, r.dst_ip}];
-    ++s.probes;
-    if (r.success) {
-      ++s.successes;
-      if (agent::syn_drop_signature(r.rtt) > 0) ++s.drop_signatures;
-    } else {
-      ++s.failures;
-    }
+    out[PairKey{r.src_ip, r.dst_ip}].add(r.success, r.rtt);
   }
   return out;
 }

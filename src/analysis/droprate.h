@@ -14,26 +14,14 @@
 #include <map>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/types.h"
 
 namespace pingmesh::analysis {
 
-struct DropEstimate {
-  std::uint64_t successful_probes = 0;
-  std::uint64_t failed_probes = 0;
-  std::uint64_t probes_3s = 0;
-  std::uint64_t probes_9s = 0;
-
-  [[nodiscard]] double rate() const {
-    if (successful_probes == 0) return 0.0;
-    return static_cast<double>(probes_3s + probes_9s) /
-           static_cast<double>(successful_probes);
-  }
-};
-
-/// Aggregate estimate over a record set.
-DropEstimate estimate_drop_rate(const std::vector<agent::LatencyRecord>& records);
+/// Aggregate estimate over a record set: drop_rate() is the heuristic above.
+agent::ProbeCounts estimate_drop_rate(const std::vector<agent::LatencyRecord>& records);
 
 /// Per source-destination pair estimates (input to black-hole detection).
 struct PairKey {
@@ -42,17 +30,7 @@ struct PairKey {
   auto operator<=>(const PairKey&) const = default;
 };
 
-struct PairStats {
-  std::uint64_t probes = 0;
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t drop_signatures = 0;
-
-  [[nodiscard]] double failure_rate() const {
-    return probes ? static_cast<double>(failures) / static_cast<double>(probes) : 0.0;
-  }
-};
-
-std::map<PairKey, PairStats> per_pair_stats(const std::vector<agent::LatencyRecord>& records);
+std::map<PairKey, agent::ProbeCounts> per_pair_stats(
+    const std::vector<agent::LatencyRecord>& records);
 
 }  // namespace pingmesh::analysis

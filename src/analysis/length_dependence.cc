@@ -8,10 +8,10 @@ LengthDependenceReport detect_length_dependent_loss(
     const std::vector<agent::LatencyRecord>& window,
     const LengthDependenceConfig& config) {
   LengthDependenceReport report;
+  agent::ProbeCounts syn;
   for (const agent::LatencyRecord& r : window) {
     if (!r.success) continue;  // connect failed: no payload leg to compare
-    ++report.syn_probes;
-    if (agent::syn_drop_signature(r.rtt) > 0) ++report.syn_drop_signatures;
+    syn.add(r.success, r.rtt);
 
     if (r.kind != controller::ProbeKind::kTcpPayload) continue;
     ++report.payload_probes;
@@ -24,6 +24,8 @@ LengthDependenceReport detect_length_dependent_loss(
     }
   }
 
+  report.syn_probes = syn.successes;
+  report.syn_drop_signatures = syn.drop_signatures();
   if (report.payload_probes > 0) {
     report.payload_loss_rate =
         static_cast<double>(report.payload_failures + report.payload_retransmits) /

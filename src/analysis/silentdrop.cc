@@ -4,7 +4,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "agent/counters.h"
 #include "analysis/droprate.h"
 
 namespace pingmesh::analysis {
@@ -33,47 +32,22 @@ std::vector<SwitchId> tcp_traceroute(netsim::SimNetwork& net, const FiveTuple& t
   return hops;
 }
 
-namespace {
-
-struct RateAcc {
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t signatures = 0;
-
-  void add(const agent::LatencyRecord& r) {
-    if (!r.success) {
-      ++failures;
-      return;
-    }
-    ++successes;
-    if (agent::syn_drop_signature(r.rtt) > 0) ++signatures;
-  }
-
-  [[nodiscard]] std::uint64_t probes() const { return successes + failures; }
-  [[nodiscard]] double rate() const {
-    return successes ? static_cast<double>(signatures) / static_cast<double>(successes)
-                     : 0.0;
-  }
-};
-
-}  // namespace
-
 std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
     const std::vector<agent::LatencyRecord>& window, const topo::Topology& topo) const {
-  std::unordered_map<std::uint32_t, RateAcc> per_dc;
+  std::unordered_map<std::uint32_t, agent::ProbeCounts> per_dc;
   for (const agent::LatencyRecord& r : window) {
     auto src = topo.find_server_by_ip(r.src_ip);
     auto dst = topo.find_server_by_ip(r.dst_ip);
     if (!src || !dst) continue;
     const topo::Server& s = topo.server(*src);
     if (s.dc != topo.server(*dst).dc) continue;  // intra-DC view
-    per_dc[s.dc.value].add(r);
+    per_dc[s.dc.value].add(r.success, r.rtt);
   }
   std::optional<DcId> worst;
   double worst_rate = 0.0;
   for (const auto& [dc, acc] : per_dc) {
-    if (acc.probes() < config_.min_probes) continue;
-    double rate = acc.rate();
+    if (acc.probes < config_.min_probes) continue;
+    double rate = acc.drop_rate();
     if (rate >= config_.incident_threshold && rate > worst_rate) {
       worst = DcId{dc};
       worst_rate = rate;
@@ -92,9 +66,9 @@ SilentDropReport SilentDropLocalizer::localize(
   report.affected_dc = *affected;
 
   // --- tier classification from the record pattern ------------------------
-  RateAcc intra_podset;
-  RateAcc cross_podset;
-  RateAcc dc_all;
+  agent::ProbeCounts intra_podset;
+  agent::ProbeCounts cross_podset;
+  agent::ProbeCounts dc_all;
   for (const agent::LatencyRecord& r : window) {
     auto src = topo.find_server_by_ip(r.src_ip);
     auto dst = topo.find_server_by_ip(r.dst_ip);
@@ -102,16 +76,12 @@ SilentDropReport SilentDropLocalizer::localize(
     const topo::Server& s = topo.server(*src);
     const topo::Server& d = topo.server(*dst);
     if (s.dc != report.affected_dc || d.dc != report.affected_dc) continue;
-    dc_all.add(r);
-    if (s.podset == d.podset) {
-      intra_podset.add(r);
-    } else {
-      cross_podset.add(r);
-    }
+    dc_all.add(r.success, r.rtt);
+    (s.podset == d.podset ? intra_podset : cross_podset).add(r.success, r.rtt);
   }
-  report.dc_drop_rate = dc_all.rate();
-  report.intra_podset_rate = intra_podset.rate();
-  report.cross_podset_rate = cross_podset.rate();
+  report.dc_drop_rate = dc_all.drop_rate();
+  report.intra_podset_rate = intra_podset.drop_rate();
+  report.cross_podset_rate = cross_podset.drop_rate();
 
   bool cross_hot = report.cross_podset_rate >= config_.incident_threshold;
   bool intra_hot = report.intra_podset_rate >= config_.incident_threshold;
@@ -139,7 +109,7 @@ SilentDropReport SilentDropLocalizer::localize(
     const topo::Server& d = topo.server(*dst);
     if (s.dc != report.affected_dc || d.dc != report.affected_dc) continue;
     if (s.podset == d.podset) continue;
-    double badness = static_cast<double>(stats.drop_signatures + stats.failures);
+    double badness = static_cast<double>(stats.drop_signatures() + stats.failures);
     if (badness > 0) affected_pairs.emplace_back(badness, key);
   }
   std::sort(affected_pairs.begin(), affected_pairs.end(),

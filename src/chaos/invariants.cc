@@ -174,11 +174,7 @@ InvariantFinding check_blame_localization(const core::PingmeshSimulation& sim,
     return not_applicable("blame-localization", "faulted switch maps to no pod");
   }
 
-  struct PairAcc {
-    std::uint64_t probes = 0;
-    std::uint64_t bad = 0;  // failures + SYN-retransmit signatures
-  };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PairAcc> pairs;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, agent::ProbeCounts> pairs;
   SimTime to = std::min(fault->end, plan.duration);
   if (plan.heal) {
     // The healing loop may clear the fault mid-window (a reload/RMA removes
@@ -199,9 +195,7 @@ InvariantFinding check_blame_localization(const core::PingmeshSimulation& sim,
     auto src = topo.find_server_by_ip(r.src_ip);
     auto dst = topo.find_server_by_ip(r.dst_ip);
     if (!src || !dst) continue;
-    PairAcc& acc = pairs[{topo.server(*src).pod.value, topo.server(*dst).pod.value}];
-    ++acc.probes;
-    if (!r.success || agent::syn_drop_signature(r.rtt) != 0) ++acc.bad;
+    pairs[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(r.success, r.rtt);
   }
 
   // Worst pair by bad-fraction among pairs with enough probes; ties are
@@ -212,7 +206,9 @@ InvariantFinding check_blame_localization(const core::PingmeshSimulation& sim,
   for (const auto& [pp, acc] : pairs) {
     if (acc.probes < kBlameMinProbes) continue;
     ++considered;
-    double rate = static_cast<double>(acc.bad) / static_cast<double>(acc.probes);
+    // Bad = failed or carrying a SYN-retransmit signature.
+    double rate = static_cast<double>(acc.failures + acc.drop_signatures()) /
+                  static_cast<double>(acc.probes);
     if (rate > worst_rate) {
       worst_rate = rate;
       worst = pp;

@@ -1,114 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace pingmesh {
-
-LatencyHistogram::LatencyHistogram(std::int64_t min_value, int octaves,
-                                   int sub_buckets_per_octave)
-    : min_value_(min_value), octaves_(octaves), sub_per_octave_(sub_buckets_per_octave) {
-  if (min_value <= 0) throw std::invalid_argument("min_value must be positive");
-  if (octaves < 1 || octaves > 48) throw std::invalid_argument("octaves out of range");
-  if (sub_buckets_per_octave < 1 || sub_buckets_per_octave > 4096) {
-    throw std::invalid_argument("sub_buckets_per_octave out of range");
-  }
-  counts_.assign(static_cast<std::size_t>(octaves_) * sub_per_octave_ + 1, 0);
-}
-
-std::size_t LatencyHistogram::bucket_index(std::int64_t value) const {
-  if (value < min_value_) return 0;
-  // Position of the value relative to min_value_ in units of min_value_.
-  auto ratio = static_cast<std::uint64_t>(value / min_value_);
-  int octave = 63 - std::countl_zero(ratio | 1);  // floor(log2(ratio))
-  if (octave >= octaves_) return counts_.size() - 1;
-  // Within the octave [2^o, 2^(o+1)) * min_value_, linear sub-buckets.
-  std::int64_t octave_lo = min_value_ << octave;
-  std::int64_t octave_width = octave_lo;  // same as lo for powers of two
-  std::int64_t offset = value - octave_lo;
-  auto sub = static_cast<std::size_t>(
-      (static_cast<__int128>(offset) * sub_per_octave_) / octave_width);
-  if (sub >= static_cast<std::size_t>(sub_per_octave_)) sub = sub_per_octave_ - 1;
-  return static_cast<std::size_t>(octave) * sub_per_octave_ + sub;
-}
-
-std::int64_t LatencyHistogram::bucket_representative(std::size_t idx) const {
-  if (idx >= counts_.size() - 1) {
-    return (min_value_ << (octaves_ - 1)) * 2;  // saturating top
-  }
-  auto octave = static_cast<int>(idx / sub_per_octave_);
-  auto sub = static_cast<int>(idx % sub_per_octave_);
-  std::int64_t octave_lo = min_value_ << octave;
-  std::int64_t octave_width = octave_lo;
-  // Midpoint of the sub-bucket.
-  return octave_lo + (octave_width * (2 * sub + 1)) / (2 * sub_per_octave_);
-}
-
-void LatencyHistogram::record(std::int64_t value, std::uint64_t count) {
-  if (count == 0) return;
-  if (value < 1) value = 1;
-  counts_[bucket_index(value)] += count;
-  total_ += count;
-  sum_ += static_cast<double>(value) * static_cast<double>(count);
-  observed_min_ = std::min(observed_min_, value);
-  observed_max_ = std::max(observed_max_, value);
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (other.min_value_ != min_value_ || other.octaves_ != octaves_ ||
-      other.sub_per_octave_ != sub_per_octave_) {
-    throw std::invalid_argument("histogram geometry mismatch in merge");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-  sum_ += other.sum_;
-  if (other.total_ > 0) {
-    observed_min_ = std::min(observed_min_, other.observed_min_);
-    observed_max_ = std::max(observed_max_, other.observed_max_);
-  }
-}
-
-std::int64_t LatencyHistogram::quantile(double q) const {
-  if (total_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target sample (1-based ceil of q * total).
-  auto target = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_)));
-  if (target == 0) target = 1;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum >= target) {
-      std::int64_t rep = bucket_representative(i);
-      // Clamp to observed range so that min/max quantiles are exact-ish.
-      return std::clamp(rep, observed_min_, observed_max_);
-    }
-  }
-  return observed_max_;
-}
-
-void LatencyHistogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0.0;
-  observed_min_ = std::numeric_limits<std::int64_t>::max();
-  observed_max_ = std::numeric_limits<std::int64_t>::min();
-}
-
-std::vector<std::pair<std::int64_t, double>> LatencyHistogram::cdf_points() const {
-  std::vector<std::pair<std::int64_t, double>> out;
-  if (total_ == 0) return out;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    cum += counts_[i];
-    out.emplace_back(bucket_representative(i),
-                     static_cast<double>(cum) / static_cast<double>(total_));
-  }
-  return out;
-}
 
 void RunningStat::record(double v) {
   if (n_ == 0) {

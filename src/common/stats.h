@@ -1,82 +1,13 @@
-// Statistics sketches used across the agent (perf counters), the DSA
-// pipeline (SCOPE aggregations) and the benchmarks (CDF reports).
-//
-// LatencyHistogram is a log-bucketed histogram, similar in spirit to
-// HdrHistogram: bounded memory, ~1-2% relative quantile error over a
-// microsecond..minutes dynamic range, mergeable. That is exactly the
-// aggregation shape the paper's per-server counters and SCOPE jobs need.
+// Small statistics helpers: running moments, exact quantiles for tests and
+// small reports, and latency/rate formatting. Quantile sketches live in
+// common/sketch.h.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace pingmesh {
-
-/// Log-bucketed histogram over positive values (we use nanoseconds).
-///
-/// Buckets: `sub_buckets_per_octave` linear sub-buckets per power-of-two
-/// octave, starting at `min_value`. Values below the minimum clamp into the
-/// first bucket, values above the max into the last.
-class LatencyHistogram {
- public:
-  /// Covers [min_value, min_value << octaves). Defaults cover
-  /// 1us .. ~1.2 hours with 32 sub-buckets/octave (~2.2% max quantile error).
-  explicit LatencyHistogram(std::int64_t min_value = 1'000,
-                            int octaves = 32,
-                            int sub_buckets_per_octave = 32);
-
-  void record(std::int64_t value) { record(value, 1); }
-  void record(std::int64_t value, std::uint64_t count);
-
-  /// Merge another histogram with identical geometry.
-  void merge(const LatencyHistogram& other);
-
-  [[nodiscard]] std::uint64_t count() const { return total_; }
-  [[nodiscard]] std::int64_t min() const { return total_ ? observed_min_ : 0; }
-  [[nodiscard]] std::int64_t max() const { return total_ ? observed_max_ : 0; }
-  [[nodiscard]] double mean() const {
-    return total_ ? sum_ / static_cast<double>(total_) : 0.0;
-  }
-
-  /// Quantile in [0, 1]; returns a representative value of the bucket
-  /// containing the q-th ranked sample. 0 when empty.
-  [[nodiscard]] std::int64_t quantile(double q) const;
-
-  [[nodiscard]] std::int64_t p50() const { return quantile(0.50); }
-  [[nodiscard]] std::int64_t p99() const { return quantile(0.99); }
-  [[nodiscard]] std::int64_t p999() const { return quantile(0.999); }
-  [[nodiscard]] std::int64_t p9999() const { return quantile(0.9999); }
-
-  void clear();
-
-  /// (value, cumulative_fraction) pairs for plotting a CDF; one point per
-  /// non-empty bucket.
-  [[nodiscard]] std::vector<std::pair<std::int64_t, double>> cdf_points() const;
-
-  /// Geometry accessors (merge compatibility checks, tests).
-  [[nodiscard]] std::int64_t min_trackable() const { return min_value_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-
-  /// Approximate memory footprint in bytes, for agent memory budgeting.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return counts_.capacity() * sizeof(std::uint64_t) + sizeof(*this);
-  }
-
- private:
-  [[nodiscard]] std::size_t bucket_index(std::int64_t value) const;
-  [[nodiscard]] std::int64_t bucket_representative(std::size_t idx) const;
-
-  std::int64_t min_value_;
-  int octaves_;
-  int sub_per_octave_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  double sum_ = 0.0;
-  std::int64_t observed_min_ = std::numeric_limits<std::int64_t>::max();
-  std::int64_t observed_max_ = std::numeric_limits<std::int64_t>::min();
-};
 
 /// Simple accumulating counter set with mean/min/max, for perf counters that
 /// are not latency-shaped (CPU %, memory bytes, probe counts).
@@ -104,7 +35,7 @@ class RunningStat {
 };
 
 /// Exact quantiles from a batch of samples (used in tests to validate the
-/// histogram sketch, and by small-scale reports).
+/// quantile sketch, and by small-scale reports).
 double exact_quantile(std::vector<double> samples, double q);
 
 /// Render nanoseconds as a human-readable latency ("216us", "1.34ms", "3.0s").

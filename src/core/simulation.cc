@@ -369,7 +369,7 @@ std::vector<agent::LatencyRecord> PingmeshSimulation::records_between(SimTime fr
                                                                       SimTime to) const {
   const dsa::CosmosStream* s = cosmos_.find(dsa::kLatencyStream);
   if (s == nullptr) return {};
-  return dsa::scope::extract_records(*s, from, to, scan_cache_).rows();
+  return dsa::scope::extract_records(*s, from, to, scan_cache_);
 }
 
 }  // namespace pingmesh::core

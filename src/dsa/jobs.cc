@@ -1,93 +1,33 @@
 #include "dsa/jobs.h"
 
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "agent/counters.h"
+#include "common/stats.h"
 #include "dsa/scan_cache.h"
+#include "dsa/scope.h"
 
 namespace pingmesh::dsa {
 
-LatencyAggregator::LatencyAggregator()
-    : hist_(/*min_value=*/1'000, /*octaves=*/32, /*sub_buckets_per_octave=*/32) {}
-
-void LatencyAggregator::add(const agent::LatencyRecord& r) {
-  ++acc_.probes;
-  if (!r.success) {
-    ++acc_.failures;
-    return;
-  }
-  ++acc_.successes;
-  if (agent::syn_drop_signature(r.rtt) > 0) {
-    ++acc_.drop_signatures;
-    return;  // retransmit artifacts are not latency samples
-  }
-  hist_.record(r.rtt);
-}
-
-LatencyAggregator::Result LatencyAggregator::finish() const {
-  Result r = acc_;
-  r.p50_ns = hist_.p50();
-  r.p99_ns = hist_.p99();
-  return r;
-}
-
 namespace {
 
-/// Pod of the server owning `ip`; invalid PodId if unknown.
-PodId pod_of(const topo::Topology& topo, IpAddr ip) {
-  auto server = topo.find_server_by_ip(ip);
-  return server ? topo.server(*server).pod : PodId{};
-}
-
-struct PodPairKey {
-  std::uint32_t src;
-  std::uint32_t dst;
-  auto operator<=>(const PodPairKey&) const = default;
-};
-
 /// EXTRACT through the context's decoded-extent cache when one is wired.
-scope::DataSet<agent::LatencyRecord> extract(const CosmosStream& stream,
-                                             const JobContext& ctx, SimTime from,
-                                             SimTime to) {
+std::vector<agent::LatencyRecord> extract(const CosmosStream& stream, const JobContext& ctx,
+                                          SimTime from, SimTime to) {
   return ctx.scan_cache != nullptr
              ? scope::extract_records(stream, from, to, *ctx.scan_cache)
              : scope::extract_records(stream, from, to);
 }
 
-}  // namespace
-
-void run_pod_pair_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
-                      SimTime to) {
-  const topo::Topology& topo = *ctx.topo;
-  auto data = extract(stream, ctx, from, to);
-  auto groups = data.where([&](const agent::LatencyRecord& r) {
-                      return topo.find_server_by_ip(r.src_ip).has_value() &&
-                             topo.find_server_by_ip(r.dst_ip).has_value();
-                    })
-                    .aggregate_by<LatencyAggregator>([&](const agent::LatencyRecord& r) {
-                      return PodPairKey{pod_of(topo, r.src_ip).value,
-                                        pod_of(topo, r.dst_ip).value};
-                    });
-  for (const auto& [key, stats] : groups) {
-    PodPairStatRow row;
-    row.window_start = from;
-    row.window_end = to;
-    row.src_pod = PodId{key.src};
-    row.dst_pod = PodId{key.dst};
-    row.probes = stats.probes;
-    row.successes = stats.successes;
-    row.failures = stats.failures;
-    row.drop_signatures = stats.drop_signatures;
-    row.p50_ns = stats.p50_ns;
-    row.p99_ns = stats.p99_ns;
-    ctx.db->pod_pair_stats.push_back(row);
-  }
-}
-
-namespace {
+/// GROUP BY key: one probe aggregate per key, iterated in key order (the
+/// row order every job writes).
+template <class Key>
+using Groups = std::map<Key, agent::ProbeStats>;
 
 void emit_sla_rows(const JobContext& ctx, SimTime from, SimTime to, SlaScope scope,
-                   const std::vector<std::pair<std::uint32_t, LatencyAggregator::Result>>& groups) {
+                   const Groups<std::uint32_t>& groups) {
   for (const auto& [scope_id, stats] : groups) {
     SlaRow row;
     row.window_start = from;
@@ -97,91 +37,99 @@ void emit_sla_rows(const JobContext& ctx, SimTime from, SimTime to, SlaScope sco
     row.probes = stats.probes;
     row.successes = stats.successes;
     row.failures = stats.failures;
-    row.drop_signatures = stats.drop_signatures;
-    row.p50_ns = stats.p50_ns;
-    row.p99_ns = stats.p99_ns;
+    row.drop_signatures = stats.drop_signatures();
+    row.p50_ns = stats.latency.p50();
+    row.p99_ns = stats.latency.p99();
     ctx.db->sla_rows.push_back(row);
   }
 }
 
 }  // namespace
 
+void run_pod_pair_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
+                      SimTime to) {
+  const topo::Topology& topo = *ctx.topo;
+  Groups<std::pair<std::uint32_t, std::uint32_t>> groups;  // (src pod, dst pod)
+  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
+    auto src = topo.find_server_by_ip(r.src_ip);
+    auto dst = topo.find_server_by_ip(r.dst_ip);
+    if (!src || !dst) continue;
+    groups[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(r.success, r.rtt);
+  }
+  for (const auto& [key, stats] : groups) {
+    PodPairStatRow row;
+    row.window_start = from;
+    row.window_end = to;
+    row.src_pod = PodId{key.first};
+    row.dst_pod = PodId{key.second};
+    row.probes = stats.probes;
+    row.successes = stats.successes;
+    row.failures = stats.failures;
+    row.drop_signatures = stats.drop_signatures();
+    row.p50_ns = stats.latency.p50();
+    row.p99_ns = stats.latency.p99();
+    ctx.db->pod_pair_stats.push_back(row);
+  }
+}
+
 void run_sla_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
                  SimTime to, bool include_server_rows) {
   const topo::Topology& topo = *ctx.topo;
-  auto data = extract(stream, ctx, from, to)
-                  .where([&](const agent::LatencyRecord& r) {
-                    return topo.find_server_by_ip(r.src_ip).has_value();
-                  });
-
-  auto by_scope = [&](auto key_fn) {
-    return data.aggregate_by<LatencyAggregator>(key_fn);
-  };
+  // Per-service SLA: a record contributes to every service its source
+  // server belongs to ("mapping the services and applications to the
+  // servers they use", §1). Services per server, ascending, built once.
+  std::vector<std::vector<std::uint32_t>> services_of(topo.server_count());
+  if (ctx.services != nullptr) {
+    for (std::uint32_t svc = 0; svc < ctx.services->service_count(); ++svc) {
+      for (ServerId s : ctx.services->servers(ServiceId{svc})) {
+        std::vector<std::uint32_t>& of = services_of[s.value];
+        if (of.empty() || of.back() != svc) of.push_back(svc);
+      }
+    }
+  }
 
   // SLA is attributed to the probing (source) server's scope: every server
   // measures its own view of the network.
-  emit_sla_rows(ctx, from, to, SlaScope::kPod, by_scope([&](const agent::LatencyRecord& r) {
-                  return topo.server(*topo.find_server_by_ip(r.src_ip)).pod.value;
-                }));
-  emit_sla_rows(ctx, from, to, SlaScope::kPodset,
-                by_scope([&](const agent::LatencyRecord& r) {
-                  return topo.server(*topo.find_server_by_ip(r.src_ip)).podset.value;
-                }));
-  emit_sla_rows(ctx, from, to, SlaScope::kDc, by_scope([&](const agent::LatencyRecord& r) {
-                  return topo.server(*topo.find_server_by_ip(r.src_ip)).dc.value;
-                }));
-  if (include_server_rows) {
-    emit_sla_rows(ctx, from, to, SlaScope::kServer,
-                  by_scope([&](const agent::LatencyRecord& r) {
-                    return topo.find_server_by_ip(r.src_ip)->value;
-                  }));
+  Groups<std::uint32_t> pods, podsets, dcs, servers, services;
+  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
+    auto src = topo.find_server_by_ip(r.src_ip);
+    if (!src) continue;
+    const topo::Server& s = topo.server(*src);
+    pods[s.pod.value].add(r.success, r.rtt);
+    podsets[s.podset.value].add(r.success, r.rtt);
+    dcs[s.dc.value].add(r.success, r.rtt);
+    if (include_server_rows) servers[src->value].add(r.success, r.rtt);
+    for (std::uint32_t svc : services_of[src->value]) services[svc].add(r.success, r.rtt);
   }
-
-  // Per-service SLA: a record contributes to every service its source
-  // server belongs to ("mapping the services and applications to the
-  // servers they use", §1).
-  if (ctx.services != nullptr) {
-    for (std::uint32_t svc = 0; svc < ctx.services->service_count(); ++svc) {
-      ServiceId service{svc};
-      std::vector<bool> member(topo.server_count(), false);
-      for (ServerId s : ctx.services->servers(service)) member[s.value] = true;
-      auto stats = data.where([&](const agent::LatencyRecord& r) {
-                         auto s = topo.find_server_by_ip(r.src_ip);
-                         return s && member[s->value];
-                       })
-                       .aggregate<LatencyAggregator>();
-      if (stats.probes == 0) continue;
-      emit_sla_rows(ctx, from, to, SlaScope::kService, {{svc, stats}});
-    }
-  }
+  emit_sla_rows(ctx, from, to, SlaScope::kPod, pods);
+  emit_sla_rows(ctx, from, to, SlaScope::kPodset, podsets);
+  emit_sla_rows(ctx, from, to, SlaScope::kDc, dcs);
+  emit_sla_rows(ctx, from, to, SlaScope::kServer, servers);
+  emit_sla_rows(ctx, from, to, SlaScope::kService, services);
 }
 
 void run_dc_drop_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
                      SimTime to) {
   const topo::Topology& topo = *ctx.topo;
   struct DcAcc {
-    LatencyAggregator intra;
-    LatencyAggregator inter;
+    agent::ProbeCounts intra;
+    agent::ProbeCounts inter;
   };
   std::vector<DcAcc> acc(topo.dcs().size());
 
-  auto data = extract(stream, ctx, from, to);
-  for (const agent::LatencyRecord& r : data.rows()) {
+  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
     auto src = topo.find_server_by_ip(r.src_ip);
     auto dst = topo.find_server_by_ip(r.dst_ip);
     if (!src || !dst) continue;
     const topo::Server& s = topo.server(*src);
     const topo::Server& d = topo.server(*dst);
     if (s.dc != d.dc) continue;  // Table 1 is intra-DC only
-    if (s.pod == d.pod) {
-      acc[s.dc.value].intra.add(r);
-    } else {
-      acc[s.dc.value].inter.add(r);
-    }
+    DcAcc& a = acc[s.dc.value];
+    (s.pod == d.pod ? a.intra : a.inter).add(r.success, r.rtt);
   }
   for (std::size_t dc = 0; dc < acc.size(); ++dc) {
-    auto intra = acc[dc].intra.finish();
-    auto inter = acc[dc].inter.finish();
+    const agent::ProbeCounts& intra = acc[dc].intra;
+    const agent::ProbeCounts& inter = acc[dc].inter;
     if (intra.probes == 0 && inter.probes == 0) continue;
     DcDropRow row;
     row.window_start = from;

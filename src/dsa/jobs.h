@@ -20,43 +20,14 @@
 #include <vector>
 
 #include "agent/record.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "dsa/cosmos.h"
 #include "dsa/database.h"
-#include "dsa/scope.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topology/topology.h"
 
 namespace pingmesh::dsa {
-
-/// Shared aggregator for latency records: success/failure/drop-signature
-/// counts plus latency percentiles of clean successes.
-class LatencyAggregator {
- public:
-  struct Result {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t drop_signatures = 0;
-    std::int64_t p50_ns = 0;
-    std::int64_t p99_ns = 0;
-
-    [[nodiscard]] double drop_rate() const {
-      return successes ? static_cast<double>(drop_signatures) / static_cast<double>(successes)
-                       : 0.0;
-    }
-  };
-
-  LatencyAggregator();
-  void add(const agent::LatencyRecord& r);
-  [[nodiscard]] Result finish() const;
-
- private:
-  Result acc_{};
-  LatencyHistogram hist_;
-};
 
 class DecodedExtentCache;
 

@@ -43,18 +43,9 @@ int evaluate_pa_alerts(Database& db, const topo::Topology& topo,
 
 void PerfcounterAggregator::collect(ServerId server, const agent::CounterSnapshot& s) {
   ++collected_;
-  PodId pod = topo_->server(server).pod;
-  PodAcc& acc = current_[pod.value];
-  acc.probes += s.probes;
-  acc.successes += s.successes;
-  acc.signatures += s.probes_3s + s.probes_9s;
-  acc.p50_weighted += static_cast<double>(s.p50_ns) * static_cast<double>(s.successes);
-  acc.p99_weighted += static_cast<double>(s.p99_ns) * static_cast<double>(s.successes);
-  // Live snapshots carry the window's latency sketch: merging them yields
-  // true pod-level percentiles (O(1) merge, bounded relative error).
-  if (s.latency.count() > 0 && acc.merged.mergeable_with(s.latency)) {
-    acc.merged.merge(s.latency);
-  }
+  // Merging the servers' window sketches yields true pod-level percentiles
+  // (O(1) merge, bounded relative error).
+  current_[topo_->server(server).pod.value].merge(s);
 }
 
 void PerfcounterAggregator::flush(SimTime now) {
@@ -64,23 +55,10 @@ void PerfcounterAggregator::flush(SimTime now) {
     row.time = now;
     row.pod = PodId{pod};
     row.probes = acc.probes;
-    row.drop_signatures = acc.signatures;
-    row.drop_rate = acc.successes
-                        ? static_cast<double>(acc.signatures) / static_cast<double>(acc.successes)
-                        : 0.0;
-    if (acc.merged.count() > 0) {
-      // Sketch-merged percentiles: exact aggregation up to the sketch's
-      // documented relative error.
-      row.p50_ns = acc.merged.p50();
-      row.p99_ns = acc.merged.p99();
-    } else if (acc.successes > 0) {
-      // Snapshots built from bare counters (no sketch): fall back to the
-      // historical probe-weighted approximation.
-      row.p50_ns = static_cast<std::int64_t>(acc.p50_weighted /
-                                             static_cast<double>(acc.successes));
-      row.p99_ns = static_cast<std::int64_t>(acc.p99_weighted /
-                                             static_cast<double>(acc.successes));
-    }
+    row.drop_signatures = acc.drop_signatures();
+    row.drop_rate = acc.drop_rate();
+    row.p50_ns = acc.latency.p50();
+    row.p99_ns = acc.latency.p99();
     db_->pa_counters.push_back(row);
   }
   current_.clear();

@@ -39,27 +39,16 @@ class PerfcounterAggregator {
   void collect(ServerId server, const agent::CounterSnapshot& snapshot);
 
   /// Close the current bucket: aggregate per pod and write PaCounterRows.
-  /// Pod-level percentiles come from merging the servers' window
-  /// LatencySketches (true percentiles, bounded relative error). Snapshots
-  /// carrying no sketch — bare counters built by hand or by legacy agents —
-  /// fall back to the probe-weighted mean of server p50/p99.
+  /// Pod-level percentiles come from merging the servers' window sketches
+  /// (true percentiles, bounded relative error).
   void flush(SimTime now);
 
   [[nodiscard]] std::uint64_t snapshots_collected() const { return collected_; }
 
  private:
-  struct PodAcc {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t signatures = 0;
-    double p50_weighted = 0.0;  // sum of p50 * successes (sketchless fallback)
-    double p99_weighted = 0.0;
-    streaming::LatencySketch merged;  // union of server window sketches
-  };
-
   const topo::Topology* topo_;
   Database* db_;
-  std::unordered_map<std::uint32_t, PodAcc> current_;  // PodId -> acc
+  std::unordered_map<std::uint32_t, agent::ProbeStats> current_;  // PodId -> acc
   std::uint64_t collected_ = 0;
 };
 

@@ -88,9 +88,9 @@ namespace scope {
 /// overload, decoding each extent at most once while it stays unchanged.
 /// The time filter runs over the cached timestamp column; rows are only
 /// materialized when they fall inside the window.
-inline DataSet<agent::LatencyRecord> extract_records(const CosmosStream& stream,
-                                                     SimTime from, SimTime to,
-                                                     DecodedExtentCache& cache) {
+inline std::vector<agent::LatencyRecord> extract_records(const CosmosStream& stream,
+                                                         SimTime from, SimTime to,
+                                                         DecodedExtentCache& cache) {
   std::vector<agent::LatencyRecord> out;
   const obs::Tracer* tracer = cache.tracer();
   bool tracing = tracer != nullptr && tracer->enabled() && cache.span_clock() != nullptr;
@@ -115,7 +115,7 @@ inline DataSet<agent::LatencyRecord> extract_records(const CosmosStream& stream,
       }
     }
   });
-  return DataSet<agent::LatencyRecord>(std::move(out));
+  return out;
 }
 
 }  // namespace scope

@@ -1,24 +1,11 @@
-// A small SCOPE-like dataflow engine (paper §2.3: "SCOPE is a declarative
-// and extensible scripting language ... to analyze massive data sets ...
-// scripts similar to SQL").
-//
-// Our jobs are the SQL shapes the paper describes — EXTRACT from a Cosmos
-// stream, WHERE, SELECT, GROUP BY + aggregate, OUTPUT to a database table —
-// so the engine provides exactly those verbs, typed, with fluent chaining:
-//
-//   auto stats = scope::extract_records(stream, from, to)
-//                    .where([](auto& r) { return r.success; })
-//                    .aggregate_by<PodPairKey, LatencyAggregator>(key_fn);
-//
-// It is deliberately an in-memory, single-node engine: the distribution,
-// partitioning, and failure handling Cosmos/SCOPE provide are not what the
-// paper evaluates, the query shapes are.
+// EXTRACT, the first verb of every SCOPE job (paper §2.3: "SCOPE is a
+// declarative and extensible scripting language ... to analyze massive
+// data sets"). The standard jobs (dsa/jobs.h) are single passes over the
+// extracted rows that GROUP BY into agent::ProbeStats; ad-hoc queries go
+// through dsa/scopeql.h. Distribution, partitioning and failure handling
+// are not what the paper evaluates, the query shapes are.
 #pragma once
 
-#include <algorithm>
-#include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "agent/record.h"
@@ -27,89 +14,10 @@
 
 namespace pingmesh::dsa::scope {
 
-template <class Row>
-class DataSet {
- public:
-  DataSet() = default;
-  explicit DataSet(std::vector<Row> rows) : rows_(std::move(rows)) {}
-
-  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
-  [[nodiscard]] std::size_t size() const { return rows_.size(); }
-  [[nodiscard]] bool empty() const { return rows_.empty(); }
-
-  /// WHERE: keep rows matching the predicate.
-  template <class Pred>
-  [[nodiscard]] DataSet where(Pred pred) const {
-    std::vector<Row> out;
-    out.reserve(rows_.size());
-    std::copy_if(rows_.begin(), rows_.end(), std::back_inserter(out), pred);
-    return DataSet(std::move(out));
-  }
-
-  /// SELECT: project each row.
-  template <class Fn>
-  [[nodiscard]] auto select(Fn fn) const {
-    using Out = decltype(fn(std::declval<const Row&>()));
-    std::vector<Out> out;
-    out.reserve(rows_.size());
-    for (const Row& r : rows_) out.push_back(fn(r));
-    return DataSet<Out>(std::move(out));
-  }
-
-  /// GROUP BY key + aggregate. `Agg` must provide:
-  ///   void add(const Row&);
-  ///   Result finish() const;  (any result type)
-  /// Returns (key, result) pairs ordered by key.
-  template <class Agg, class KeyFn>
-  [[nodiscard]] auto aggregate_by(KeyFn key_fn) const {
-    using Key = decltype(key_fn(std::declval<const Row&>()));
-    std::map<Key, Agg> groups;
-    for (const Row& r : rows_) groups[key_fn(r)].add(r);
-    using Result = decltype(std::declval<const Agg&>().finish());
-    std::vector<std::pair<Key, Result>> out;
-    out.reserve(groups.size());
-    for (const auto& [key, agg] : groups) out.emplace_back(key, agg.finish());
-    return out;
-  }
-
-  /// Aggregate the whole set with one aggregator.
-  template <class Agg>
-  [[nodiscard]] auto aggregate() const {
-    Agg agg;
-    for (const Row& r : rows_) agg.add(r);
-    return agg.finish();
-  }
-
-  /// ORDER BY a key extractor.
-  template <class KeyFn>
-  [[nodiscard]] DataSet order_by(KeyFn key_fn) const {
-    std::vector<Row> out = rows_;
-    std::stable_sort(out.begin(), out.end(), [&](const Row& a, const Row& b) {
-      return key_fn(a) < key_fn(b);
-    });
-    return DataSet(std::move(out));
-  }
-
-  /// UNION ALL.
-  [[nodiscard]] DataSet union_all(const DataSet& other) const {
-    std::vector<Row> out = rows_;
-    out.insert(out.end(), other.rows_.begin(), other.rows_.end());
-    return DataSet(std::move(out));
-  }
-
-  /// OUTPUT: append rows into a sink (e.g. a database table's vector).
-  void output_to(std::vector<Row>& sink) const {
-    sink.insert(sink.end(), rows_.begin(), rows_.end());
-  }
-
- private:
-  std::vector<Row> rows_;
-};
-
 /// EXTRACT latency records from a Cosmos stream over [from, to).
 /// Extent time ranges are coarse; the record-level filter is exact.
-inline DataSet<agent::LatencyRecord> extract_records(const CosmosStream& stream,
-                                                     SimTime from, SimTime to) {
+inline std::vector<agent::LatencyRecord> extract_records(const CosmosStream& stream,
+                                                         SimTime from, SimTime to) {
   std::vector<agent::LatencyRecord> rows;
   stream.scan(from, to, [&](const Extent& e) {
     const agent::RecordColumns cols = decode_extent(e);
@@ -118,7 +26,7 @@ inline DataSet<agent::LatencyRecord> extract_records(const CosmosStream& stream,
       if (ts[i] >= from && ts[i] < to) rows.push_back(cols.row(i));
     }
   });
-  return DataSet<agent::LatencyRecord>(std::move(rows));
+  return rows;
 }
 
 }  // namespace pingmesh::dsa::scope

@@ -569,9 +569,8 @@ struct Accumulator {
   std::int64_t sum = 0;
   std::int64_t min = 0;
   std::int64_t max = 0;
-  std::unique_ptr<LatencyHistogram> hist;  // for percentiles
-  std::uint64_t successes = 0;             // for DROPRATE
-  std::uint64_t signatures = 0;
+  std::unique_ptr<LatencySketch> hist;  // for percentiles
+  agent::ProbeCounts outcomes;          // for DROPRATE
 
   void add_value(std::int64_t v, bool need_hist) {
     if (count == 0) {
@@ -583,7 +582,7 @@ struct Accumulator {
     ++count;
     sum += v;
     if (need_hist) {
-      if (!hist) hist = std::make_unique<LatencyHistogram>();
+      if (!hist) hist = std::make_unique<LatencySketch>(agent::ProbeStats::kSketch);
       hist->record(v);
     }
   }
@@ -606,9 +605,10 @@ std::int64_t finish(const Accumulator& acc, AggFn fn) {
     case AggFn::kP999: return acc.hist ? acc.hist->p999() : 0;
     case AggFn::kDropRate:
       // parts-per-million so the integer pipeline carries it; rendered /1e6.
-      return acc.successes
-                 ? static_cast<std::int64_t>(1e6 * static_cast<double>(acc.signatures) /
-                                             static_cast<double>(acc.successes))
+      return acc.outcomes.successes
+                 ? static_cast<std::int64_t>(
+                       1e6 * static_cast<double>(acc.outcomes.drop_signatures()) /
+                       static_cast<double>(acc.outcomes.successes))
                  : 0;
     case AggFn::kNone: return 0;
   }
@@ -689,10 +689,7 @@ QueryResult Interpreter::run(std::string_view query_text,
         const SelectItem& item = query.select[s];
         Accumulator& acc = group.accs[s];
         if (item.agg == AggFn::kDropRate) {
-          if (r.success) {
-            ++acc.successes;
-            if (agent::syn_drop_signature(r.rtt) > 0) ++acc.signatures;
-          }
+          acc.outcomes.add(r.success, r.rtt);
         } else if (item.agg == AggFn::kCount && !item.expr) {
           ++acc.count;
         } else if (item.agg != AggFn::kNone) {

@@ -15,7 +15,7 @@
 //
 // Items are expressions or aggregates over expressions:
 //   COUNT(*), COUNT(expr), SUM(e), MIN(e), MAX(e), AVG(e),
-//   P50(e), P99(e), P999(e)  — latency percentiles (histogram-backed),
+//   P50(e), P99(e), P999(e)  — latency percentiles (LatencySketch-backed),
 //   DROPRATE()               — the paper's 3s/9s SYN heuristic over the group.
 //
 // Columns: timestamp, src_ip, dst_ip, src_port, dst_port, kind, qos,

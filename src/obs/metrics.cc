@@ -122,7 +122,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view la
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view labels,
-                                      streaming::LatencySketch::Config cfg) {
+                                      LatencySketch::Config cfg) {
   validate_name(name);
   validate_labels(labels);
   std::lock_guard<std::mutex> lock(mu_);
@@ -184,7 +184,7 @@ std::string MetricsRegistry::expose(const std::vector<std::string>& name_prefixe
     }
     for (const auto& [key, h] : histograms_) {
       if (!matches_any_prefix(key.name, filter)) continue;
-      streaming::LatencySketch sk = h->snapshot();
+      LatencySketch sk = h->snapshot();
       std::string body;
       body += render_line(key.name, with_quantile(key.labels, "0.5"),
                           format_value(static_cast<double>(sk.p50())));

@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "streaming/sketch.h"
+#include "common/sketch.h"
 
 namespace pingmesh::obs {
 
@@ -76,7 +76,7 @@ class Gauge {
 /// bucket increment, cheap enough for the fleet tick path.
 class Histogram {
  public:
-  explicit Histogram(streaming::LatencySketch::Config cfg) : sketch_(cfg) {}
+  explicit Histogram(LatencySketch::Config cfg) : sketch_(cfg) {}
 
   void observe(std::int64_t value) {
     lock();
@@ -85,9 +85,9 @@ class Histogram {
   }
 
   /// Copy of the sketch for quantile queries (exposition, tests).
-  [[nodiscard]] streaming::LatencySketch snapshot() const {
+  [[nodiscard]] LatencySketch snapshot() const {
     lock();
-    streaming::LatencySketch copy = sketch_;
+    LatencySketch copy = sketch_;
     unlock();
     return copy;
   }
@@ -100,15 +100,15 @@ class Histogram {
   void unlock() const { busy_.clear(std::memory_order_release); }
 
   mutable std::atomic_flag busy_ = ATOMIC_FLAG_INIT;
-  streaming::LatencySketch sketch_;
+  LatencySketch sketch_;
 };
 
 class MetricsRegistry {
  public:
   /// Default sketch geometry for histograms: 1% relative error over
   /// 1 us .. 60 s — covers clean RTTs through the SYN-retransmit band.
-  static streaming::LatencySketch::Config default_histogram_config() {
-    return streaming::LatencySketch::Config{};
+  static LatencySketch::Config default_histogram_config() {
+    return LatencySketch::Config{};
   }
 
   /// Get-or-create. `name` must be `subsystem.metric` ([a-z0-9_] segments,
@@ -118,7 +118,7 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, std::string_view labels = {});
   Histogram& histogram(std::string_view name, std::string_view labels = {});
   Histogram& histogram(std::string_view name, std::string_view labels,
-                       streaming::LatencySketch::Config cfg);
+                       LatencySketch::Config cfg);
 
   /// Register (or replace) a callback gauge, evaluated at expose() time.
   /// The callback must stay valid for the registry's lifetime.

@@ -161,7 +161,7 @@ bool decode_segment_frame(std::string_view data, std::size_t& pos, SegmentFrame*
 
 namespace {
 
-void encode_sketch(std::string& out, const streaming::LatencySketch& sk) {
+void encode_sketch(std::string& out, const LatencySketch& sk) {
   put_u64(out, sk.count());
   put_f64(out, sk.sum());
   put_i64(out, sk.observed_min_raw());
@@ -177,7 +177,7 @@ void encode_sketch(std::string& out, const streaming::LatencySketch& sk) {
   }
 }
 
-bool decode_sketch(Cursor& c, streaming::LatencySketch& sk) {
+bool decode_sketch(Cursor& c, LatencySketch& sk) {
   std::uint64_t total = c.get_u64();
   double sum = c.get_f64();
   std::int64_t omin = c.get_i64();
@@ -212,9 +212,9 @@ std::string RollupStore::encode_state() const {
   put_i64(out, cfg_.seal_grace);
   put_i64(out, cfg_.future_slack);
   put_u64(out, cfg_.max_tier2_cells);
-  put_f64(out, cfg_.sketch.relative_error);
-  put_i64(out, cfg_.sketch.min_value_ns);
-  put_i64(out, cfg_.sketch.max_value_ns);
+  put_f64(out, Cell::kSketch.relative_error);
+  put_i64(out, Cell::kSketch.min_value_ns);
+  put_i64(out, Cell::kSketch.max_value_ns);
 
   put_u64(out, version_);
   put_i64(out, last_now_);
@@ -236,7 +236,7 @@ std::string RollupStore::encode_state() const {
         put_u64(out, cell.failures);
         put_u64(out, cell.probes_3s);
         put_u64(out, cell.probes_9s);
-        encode_sketch(out, cell.sketch);
+        encode_sketch(out, cell.latency);
       }
     }
   };
@@ -261,14 +261,15 @@ bool RollupStore::restore_state(std::string_view data) {
   echo.seal_grace = c.get_i64();
   echo.future_slack = c.get_i64();
   echo.max_tier2_cells = static_cast<std::size_t>(c.get_u64());
-  echo.sketch.relative_error = c.get_f64();
-  echo.sketch.min_value_ns = c.get_i64();
-  echo.sketch.max_value_ns = c.get_i64();
+  LatencySketch::Config sketch;
+  sketch.relative_error = c.get_f64();
+  sketch.min_value_ns = c.get_i64();
+  sketch.max_value_ns = c.get_i64();
   if (!c.ok || echo.tier_width[0] != cfg_.tier_width[0] ||
       echo.tier_width[1] != cfg_.tier_width[1] ||
       echo.tier_width[2] != cfg_.tier_width[2] || echo.seal_grace != cfg_.seal_grace ||
       echo.future_slack != cfg_.future_slack ||
-      echo.max_tier2_cells != cfg_.max_tier2_cells || !(echo.sketch == cfg_.sketch)) {
+      echo.max_tier2_cells != cfg_.max_tier2_cells || !(sketch == Cell::kSketch)) {
     return false;
   }
 
@@ -307,7 +308,7 @@ bool RollupStore::restore_state(std::string_view data) {
         SimTime start = c.get_i64();
         if (!c.ok || start < 0 || start % w != 0 || start <= prev_start) return false;
         prev_start = start;
-        auto [it, inserted] = s.tier[tier].try_emplace(start, cfg_.sketch);
+        auto [it, inserted] = s.tier[tier].try_emplace(start);
         PINGMESH_DCHECK(inserted);
         Cell& cell = it->second;
         cell.probes = c.get_u64();
@@ -323,9 +324,9 @@ bool RollupStore::restore_state(std::string_view data) {
             cell.probes_9s > cell.successes - cell.probes_3s) {
           return false;
         }
-        if (!decode_sketch(c, cell.sketch)) return false;
+        if (!decode_sketch(c, cell.latency)) return false;
         // Every success is a latency sample, a 3 s signature, or a 9 s one.
-        if (cell.sketch.count() != cell.successes - cell.probes_3s - cell.probes_9s) {
+        if (cell.latency.count() != cell.successes - cell.probes_3s - cell.probes_9s) {
           return false;
         }
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "agent/counters.h"
 #include "common/check.h"
 
 namespace pingmesh::serve {
@@ -23,7 +22,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 RollupStore::RollupStore(const topo::Topology& topo, const topo::ServiceMap* services,
                          RollupConfig cfg)
-    : topo_(&topo), cfg_(cfg), scratch_(cfg.sketch) {
+    : topo_(&topo), cfg_(cfg) {
   PINGMESH_CHECK_MSG(cfg_.tier_width[0] > 0, "tier-0 width must be positive");
   PINGMESH_CHECK_MSG(cfg_.tier_width[1] % cfg_.tier_width[0] == 0 &&
                          cfg_.tier_width[2] % cfg_.tier_width[1] == 0,
@@ -43,26 +42,9 @@ RollupStore::RollupStore(const topo::Topology& topo, const topo::ServiceMap* ser
 void RollupStore::place(Series& s, SimTime ts, bool success, SimTime rtt) {
   const SimTime w0 = cfg_.tier_width[0];
   const SimTime start = w0 * (ts / w0);
-  auto [it, _] = s.tier[0].try_emplace(start, cfg_.sketch);
-  Cell& cell = it->second;
-  ++cell.probes;
-  if (!success) {
-    ++cell.failures;
-    return;
-  }
-  ++cell.successes;
   // Retransmit artifacts count as drop signatures, never as latency samples
-  // (same classification as streaming/window and the batch aggregator).
-  switch (agent::syn_drop_signature(rtt)) {
-    case 1:
-      ++cell.probes_3s;
-      break;
-    case 2:
-      ++cell.probes_9s;
-      break;
-    default:
-      cell.sketch.record(rtt);
-  }
+  // (the same ProbeStats rule as the streaming windows and the batch jobs).
+  s.tier[0][start].add(success, rtt);
 }
 
 void RollupStore::on_records(const agent::RecordColumns& batch, SimTime now) {
@@ -152,14 +134,12 @@ void RollupStore::seal_series(Series& s) {
   // (ascending start order — the deterministic merge order contract).
   for (auto it = s.tier[0].lower_bound(sealed_until_[0]);
        it != s.tier[0].end() && it->first < next[0]; ++it) {
-    auto [parent, _] = s.tier[1].try_emplace(w1 * (it->first / w1), cfg_.sketch);
-    parent->second.merge_from(it->second);
+    s.tier[1][w1 * (it->first / w1)].merge(it->second);
   }
   // Newly sealed tier-1 cells merge into tier 2 and shed their children.
   for (auto it = s.tier[1].lower_bound(sealed_until_[1]);
        it != s.tier[1].end() && it->first < next[1]; ++it) {
-    auto [parent, _] = s.tier[2].try_emplace(w2 * (it->first / w2), cfg_.sketch);
-    parent->second.merge_from(it->second);
+    s.tier[2][w2 * (it->first / w2)].merge(it->second);
     s.tier[0].erase(s.tier[0].lower_bound(it->first),
                     s.tier[0].lower_bound(it->first + w1));
   }
@@ -195,8 +175,9 @@ std::optional<streaming::WindowStats> RollupStore::merge_range(const Series& s,
   const SimTime w0 = cfg_.tier_width[0];
   const SimTime from_al = w0 * (std::max<SimTime>(0, from) / w0);
   const SimTime to_al = to <= 0 ? 0 : w0 * ((to + w0 - 1) / w0);
-  streaming::WindowStats stats;
   scratch_.clear();
+  SimTime window_start = 0;
+  SimTime window_end = 0;
   bool any = false;
   for (int tier = 2; tier >= 0; --tier) {
     const SimTime w = cfg_.tier_width[tier];
@@ -205,28 +186,19 @@ std::optional<streaming::WindowStats> RollupStore::merge_range(const Series& s,
     auto it = s.tier[tier].lower_bound(w * (from_al / w));
     for (; it != s.tier[tier].end() && it->first < to_al; ++it) {
       if (!cell_queryable(tier, it->first)) continue;
-      const Cell& c = it->second;
-      stats.probes += c.probes;
-      stats.successes += c.successes;
-      stats.failures += c.failures;
-      stats.probes_3s += c.probes_3s;
-      stats.probes_9s += c.probes_9s;
-      scratch_.merge(c.sketch);
+      scratch_.merge(it->second);
       if (!any) {
-        stats.window_start = it->first;
-        stats.window_end = it->first + w;
+        window_start = it->first;
+        window_end = it->first + w;
         any = true;
       } else {
-        stats.window_start = std::min(stats.window_start, it->first);
-        stats.window_end = std::max(stats.window_end, it->first + w);
+        window_start = std::min(window_start, it->first);
+        window_end = std::max(window_end, it->first + w);
       }
     }
   }
   if (!any) return std::nullopt;
-  stats.p50_ns = scratch_.p50();
-  stats.p99_ns = scratch_.p99();
-  stats.p999_ns = scratch_.p999();
-  return stats;
+  return streaming::WindowStats::of(scratch_, window_start, window_end);
 }
 
 std::optional<streaming::WindowStats> RollupStore::query_pair(PodId src, PodId dst,
@@ -276,9 +248,9 @@ std::uint64_t RollupStore::digest() const {
         fnv_mix(h, c.failures);
         fnv_mix(h, c.probes_3s);
         fnv_mix(h, c.probes_9s);
-        fnv_mix(h, c.sketch.count());
-        fnv_mix(h, static_cast<std::uint64_t>(c.sketch.quantile(0.5)));
-        fnv_mix(h, static_cast<std::uint64_t>(c.sketch.quantile(0.99)));
+        fnv_mix(h, c.latency.count());
+        fnv_mix(h, static_cast<std::uint64_t>(c.latency.quantile(0.5)));
+        fnv_mix(h, static_cast<std::uint64_t>(c.latency.quantile(0.99)));
       }
     }
   };
@@ -335,14 +307,14 @@ std::size_t RollupStore::cell_count() const {
 
 std::size_t RollupStore::memory_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t per_cell = sizeof(Cell) + scratch_.memory_bytes();
+  const std::size_t per_cell = sizeof(Cell) + scratch_.latency.memory_bytes();
   return cell_count_locked() * per_cell +
          (pairs_.size() + services_.size()) * sizeof(Series);
 }
 
 double RollupStore::relative_error_bound() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return scratch_.relative_error_bound();
+  return scratch_.latency.relative_error_bound();
 }
 
 }  // namespace pingmesh::serve

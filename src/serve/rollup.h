@@ -6,7 +6,7 @@
 // The serving tier instead materializes three tiers of pre-merged cells —
 // 10 min → 1 h → 1 day by default — keyed by pod pair and by service, and
 // maintained incrementally from the uploader's RecordTap. A query merges
-// O(cells-in-range) LatencySketches instead of touching raw records, so
+// O(cells-in-range) ProbeStats instead of touching raw records, so
 // heatmap / SLA / top-k answers cost microseconds regardless of how much
 // history the store holds.
 //
@@ -56,11 +56,11 @@
 #include <string_view>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record_columns.h"
 #include "common/annotations.h"
 #include "common/types.h"
 #include "dsa/uploader.h"
-#include "streaming/sketch.h"
 #include "streaming/window.h"
 #include "topology/topology.h"
 
@@ -78,11 +78,6 @@ struct RollupConfig {
   SimTime future_slack = minutes(1);
   /// Sealed tier-2 cells retained per series (default ~2 months of days).
   std::size_t max_tier2_cells = 64;
-  /// Sketch geometry of every cell; matches the streaming sub-window
-  /// geometry so rollup and streaming answers share an error bound.
-  streaming::LatencySketch::Config sketch{/*relative_error=*/0.02,
-                                          /*min_value_ns=*/1'000,
-                                          /*max_value_ns=*/16 * kNanosPerSecond};
 };
 
 /// One pod pair's merged stats over a queried range (snapshot form).
@@ -195,24 +190,9 @@ class RollupStore final : public dsa::RecordTap {
   [[nodiscard]] double relative_error_bound() const;
 
  private:
-  struct Cell {
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t probes_3s = 0;
-    std::uint64_t probes_9s = 0;
-    streaming::LatencySketch sketch;
-
-    explicit Cell(const streaming::LatencySketch::Config& c) : sketch(c) {}
-    void merge_from(const Cell& o) {
-      probes += o.probes;
-      successes += o.successes;
-      failures += o.failures;
-      probes_3s += o.probes_3s;
-      probes_9s += o.probes_9s;
-      sketch.merge(o.sketch);
-    }
-  };
+  /// A cell is one agent::ProbeStats, so rollup answers share the streaming
+  /// windows' and the batch jobs' classification and sketch geometry.
+  using Cell = agent::ProbeStats;
 
   /// One scope's three tiers, each keyed by cell start time.
   struct Series {
@@ -252,7 +232,7 @@ class RollupStore final : public dsa::RecordTap {
   std::uint64_t late_dropped_ PM_GUARDED_BY(mu_) = 0;
   std::uint64_t expired_ PM_GUARDED_BY(mu_) = 0;
 
-  mutable streaming::LatencySketch scratch_ PM_GUARDED_BY(mu_);  // query merges
+  mutable Cell scratch_ PM_GUARDED_BY(mu_);  // query merges
 };
 
 /// Fan a single uploader tap out to several consumers (the sim exposes one

@@ -9,7 +9,7 @@
 namespace pingmesh::streaming {
 
 WindowedAggregator::WindowedAggregator(const topo::Topology& topo, Config cfg)
-    : topo_(&topo), cfg_(cfg), scratch_(cfg.sketch) {
+    : topo_(&topo), cfg_(cfg) {
   if (cfg_.sub_window <= 0) throw std::invalid_argument("sub_window must be positive");
   if (cfg_.sub_window_count < 1 || cfg_.sub_window_count > 4096) {
     throw std::invalid_argument("sub_window_count out of range");
@@ -29,8 +29,7 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
   auto& slot = pairs_[key(src_pod, dst_pod)];
   if (slot == nullptr) {  // warm-up: the only allocation on the ingest path
     slot = std::make_unique<PairState>();
-    slot->ring.reserve(static_cast<std::size_t>(cfg_.sub_window_count));
-    for (int i = 0; i < cfg_.sub_window_count; ++i) slot->ring.emplace_back(cfg_.sketch);
+    slot->ring.resize(static_cast<std::size_t>(cfg_.sub_window_count));
   }
   PairState& pair = *slot;
 
@@ -51,31 +50,17 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
     // Recycling a previously-filled slot is the moment its old sub-window
     // leaves the retained horizon.
     if (sub.start != kUnset) ++expiries_;
-    sub.reset(window_start);
+    sub.start = window_start;
+    sub.stats.clear();
   }
 
   ++ingested_;
   ++pair.lifetime_probes;
   pair.last_probe_ts = std::max(pair.last_probe_ts, ts);
-  ++sub.probes;
-  if (!r.success) {
-    ++sub.failures;
-    return;
-  }
-  pair.last_success_ts = std::max(pair.last_success_ts, ts);
-  ++sub.successes;
-  // Identical classification to the batch LatencyAggregator: retransmit
-  // artifacts count as drop signatures, never as latency samples.
-  switch (agent::syn_drop_signature(r.rtt)) {
-    case 1:
-      ++sub.probes_3s;
-      break;
-    case 2:
-      ++sub.probes_9s;
-      break;
-    default:
-      sub.sketch.record(r.rtt);
-  }
+  if (r.success) pair.last_success_ts = std::max(pair.last_success_ts, ts);
+  // The batch jobs' classification: retransmit artifacts count as drop
+  // signatures, never as latency samples.
+  sub.stats.add(r.success, r.rtt);
 }
 
 const WindowedAggregator::PairState* WindowedAggregator::find(PodId src, PodId dst) const {
@@ -85,26 +70,15 @@ const WindowedAggregator::PairState* WindowedAggregator::find(PodId src, PodId d
 
 std::optional<WindowStats> WindowedAggregator::merge_range(const PairState& pair,
                                                            SimTime from, SimTime to) const {
-  WindowStats out;
-  out.window_start = from;
-  out.window_end = to;
   scratch_.clear();
   for (const SubWindow& sub : pair.ring) {
     if (sub.start == kUnset || sub.start < from || sub.start >= to) continue;
     // Every populated sub-window sits on a sub_window boundary; ingest
     // rounds timestamps down before writing.
     PINGMESH_DCHECK(sub.start % cfg_.sub_window == 0);
-    out.probes += sub.probes;
-    out.successes += sub.successes;
-    out.failures += sub.failures;
-    out.probes_3s += sub.probes_3s;
-    out.probes_9s += sub.probes_9s;
-    scratch_.merge(sub.sketch);
+    scratch_.merge(sub.stats);
   }
-  out.p50_ns = scratch_.p50();
-  out.p99_ns = scratch_.p99();
-  out.p999_ns = scratch_.p999();
-  return out;
+  return WindowStats::of(scratch_, from, to);
 }
 
 std::optional<WindowStats> WindowedAggregator::query(PodId src, PodId dst,
@@ -155,7 +129,7 @@ std::optional<SimTime> WindowedAggregator::last_probe(PodId src, PodId dst) cons
 std::size_t WindowedAggregator::memory_bytes() const {
   std::size_t per_pair = sizeof(PairState) +
                          static_cast<std::size_t>(cfg_.sub_window_count) *
-                             (sizeof(SubWindow) + scratch_.memory_bytes());
+                             (sizeof(SubWindow) + scratch_.latency.memory_bytes());
   return sizeof(*this) + pairs_.size() * per_pair;
 }
 

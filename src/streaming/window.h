@@ -2,13 +2,14 @@
 // statistics with seconds-level freshness.
 //
 // The streaming pipeline's stateful core: each pod pair holds a ring of N
-// sub-windows (width W), each carrying counters plus a LatencySketch of the
-// clean connect RTTs. Records are bucketed by their *measurement* timestamp
-// (not arrival time), so a window's content is exactly the record set the
-// batch SCOPE job scans for the same interval — that equivalence is what the
-// streaming-vs-batch cross-validation test asserts. Late arrivals within the
-// retained horizon land in the right sub-window; arrivals older than the
-// horizon are counted in `late_dropped()` and discarded.
+// sub-windows (width W), each an agent::ProbeStats: the §4.2 counters plus
+// a sketch of the clean connect RTTs. Records are bucketed by their
+// *measurement* timestamp (not arrival time), so a window's content is
+// exactly the record set the batch SCOPE job scans for the same interval —
+// that equivalence is what the streaming-vs-batch cross-validation test
+// asserts. Late arrivals within the retained horizon land in the right
+// sub-window; arrivals older than the horizon are counted in
+// `late_dropped()` and discarded.
 //
 // Memory/allocation contract: sub-window sketches are built once when a pair
 // first appears (warm-up); advancing the ring clears a sub-window in place.
@@ -26,35 +27,32 @@
 #include <unordered_map>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/types.h"
-#include "streaming/sketch.h"
 #include "topology/topology.h"
 
 namespace pingmesh::streaming {
 
-/// Merged statistics of one pod pair over a queried interval.
-struct WindowStats {
+/// Merged statistics of one pod pair (or service) over a queried interval.
+struct WindowStats : agent::ProbeCounts {
   SimTime window_start = 0;
   SimTime window_end = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t probes_3s = 0;  ///< one-SYN-drop signatures
-  std::uint64_t probes_9s = 0;  ///< two-SYN-drop signatures
   std::int64_t p50_ns = 0;
   std::int64_t p99_ns = 0;
   std::int64_t p999_ns = 0;
 
-  [[nodiscard]] std::uint64_t drop_signatures() const { return probes_3s + probes_9s; }
-  /// The paper's §4.2 estimator: signatures / successful probes.
-  [[nodiscard]] double drop_rate() const {
-    return successes ? static_cast<double>(drop_signatures()) / static_cast<double>(successes)
-                     : 0.0;
-  }
-  /// Fraction of probes whose connect never completed (blackhole shape).
-  [[nodiscard]] double failure_rate() const {
-    return probes ? static_cast<double>(failures) / static_cast<double>(probes) : 0.0;
+  /// Counters and percentiles of `merged` over [start, end).
+  [[nodiscard]] static WindowStats of(const agent::ProbeStats& merged, SimTime start,
+                                      SimTime end) {
+    WindowStats out;
+    static_cast<agent::ProbeCounts&>(out) = merged;
+    out.window_start = start;
+    out.window_end = end;
+    out.p50_ns = merged.latency.p50();
+    out.p99_ns = merged.latency.p99();
+    out.p999_ns = merged.latency.p999();
+    return out;
   }
 };
 
@@ -63,10 +61,6 @@ class WindowedAggregator {
   struct Config {
     SimTime sub_window = seconds(10);  ///< ring slot width W
     int sub_window_count = 6;          ///< N slots; horizon = N * W
-    /// Sketch geometry of every sub-window. Coarser than the agent default:
-    /// 2% relative error keeps a pair's ring near 20 KB.
-    LatencySketch::Config sketch{/*relative_error=*/0.02, /*min_value_ns=*/1'000,
-                                 /*max_value_ns=*/16 * kNanosPerSecond};
   };
 
   struct PairWindow {
@@ -118,19 +112,7 @@ class WindowedAggregator {
 
   struct SubWindow {
     SimTime start = kUnset;
-    std::uint64_t probes = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t probes_3s = 0;
-    std::uint64_t probes_9s = 0;
-    LatencySketch sketch;
-
-    explicit SubWindow(const LatencySketch::Config& c) : sketch(c) {}
-    void reset(SimTime new_start) {
-      start = new_start;
-      probes = successes = failures = probes_3s = probes_9s = 0;
-      sketch.clear();
-    }
+    agent::ProbeStats stats;
   };
 
   struct PairState {
@@ -150,8 +132,8 @@ class WindowedAggregator {
   const topo::Topology* topo_;
   Config cfg_;
   std::unordered_map<std::uint64_t, std::unique_ptr<PairState>> pairs_;
-  /// Scratch sketch reused by queries (driver-thread only, like the rest).
-  mutable LatencySketch scratch_;
+  /// Scratch aggregate reused by queries (driver-thread only, like the rest).
+  mutable agent::ProbeStats scratch_;
   std::uint64_t ingested_ = 0;
   std::uint64_t skipped_ = 0;
   std::uint64_t late_dropped_ = 0;

@@ -12,6 +12,7 @@
 #include "agent/counters.h"
 #include "agent/record.h"
 #include "agent/rotating_log.h"
+#include "common/rng.h"
 
 namespace pingmesh::agent {
 namespace {
@@ -322,7 +323,7 @@ TEST(Agent, CountersTrackDropSignatures) {
   EXPECT_EQ(snap.probes_3s, 1u);
   EXPECT_EQ(snap.probes_9s, 1u);
   EXPECT_NEAR(snap.drop_rate(), 2.0 / 98.0, 1e-9);
-  EXPECT_GT(snap.p50_ns, 0);
+  EXPECT_GT(snap.latency.p50(), 0);
 
   // collect() resets the window.
   CounterSnapshot next = agent.collect_counters(seconds(120));
@@ -336,6 +337,80 @@ TEST(SynDropSignature, Bands) {
   EXPECT_EQ(syn_drop_signature(seconds(1)), 0);
   EXPECT_EQ(syn_drop_signature(seconds(7)), 0);
   EXPECT_EQ(syn_drop_signature(seconds(20)), 0);
+}
+
+TEST(ProbeCounts, ClassifiesAtSignatureBandEdges) {
+  // Bands are [2.5 s, 6 s) for one SYN drop and [8 s, 15 s) for two; every
+  // other success is a clean latency sample.
+  struct Case {
+    SimTime rtt;
+    std::uint64_t probes_3s;
+    std::uint64_t probes_9s;
+  };
+  const Case cases[] = {
+      {seconds(2) + millis(500) - 1, 0, 0}, {seconds(2) + millis(500), 1, 0},
+      {seconds(6) - 1, 1, 0},               {seconds(6), 0, 0},
+      {seconds(8) - 1, 0, 0},               {seconds(8), 0, 1},
+      {seconds(15) - 1, 0, 1},              {seconds(15), 0, 0},
+  };
+  for (const Case& c : cases) {
+    ProbeCounts pc;
+    const bool clean = pc.add(true, c.rtt);
+    EXPECT_EQ(pc.probes_3s, c.probes_3s) << c.rtt;
+    EXPECT_EQ(pc.probes_9s, c.probes_9s) << c.rtt;
+    EXPECT_EQ(clean, c.probes_3s + c.probes_9s == 0) << c.rtt;
+    EXPECT_EQ(pc.probes, 1u);
+    EXPECT_EQ(pc.successes, 1u);
+  }
+  ProbeCounts failed;
+  EXPECT_FALSE(failed.add(false, seconds(3)));  // a failure is never a signature
+  EXPECT_EQ(failed.failures, 1u);
+  EXPECT_EQ(failed.drop_signatures(), 0u);
+  EXPECT_DOUBLE_EQ(failed.failure_rate(), 1.0);
+}
+
+TEST(ProbeStats, MergeEqualsAddingEveryOutcomeToOne) {
+  Rng rng(17);
+  ProbeStats parts[3];
+  ProbeStats whole;
+  for (int i = 0; i < 3000; ++i) {
+    const bool success = !rng.chance(0.02);
+    SimTime rtt = micros(100) + static_cast<SimTime>(rng.uniform(0, 2e6));
+    if (rng.chance(0.01)) rtt += seconds(3);
+    if (rng.chance(0.005)) rtt += seconds(9);
+    parts[i % 3].add(success, rtt);
+    whole.add(success, rtt);
+  }
+  ProbeStats merged = parts[2];
+  merged.merge(parts[0]);
+  merged.merge(parts[1]);
+  EXPECT_EQ(static_cast<const ProbeCounts&>(merged), static_cast<const ProbeCounts&>(whole));
+  EXPECT_EQ(merged.latency.bucket_counts(), whole.latency.bucket_counts());
+  EXPECT_EQ(merged.latency.count(), whole.latency.count());
+  EXPECT_EQ(merged.latency.min(), whole.latency.min());
+  EXPECT_EQ(merged.latency.max(), whole.latency.max());
+  EXPECT_EQ(merged.latency.p50(), whole.latency.p50());
+  EXPECT_EQ(merged.latency.p99(), whole.latency.p99());
+  EXPECT_GT(whole.probes_3s + whole.probes_9s, 0u);
+  EXPECT_GT(whole.failures, 0u);
+}
+
+TEST(ProbeStats, SeparatesSignaturesFromLatency) {
+  ProbeStats stats;
+  for (int i = 0; i < 99; ++i) stats.add(true, micros(250));
+  stats.add(true, seconds(3) + micros(250));  // retransmit artifact
+  stats.add(false, seconds(3) + micros(250));
+  EXPECT_EQ(stats.probes, 101u);
+  EXPECT_EQ(stats.successes, 100u);
+  EXPECT_EQ(stats.failures, 1u);
+  EXPECT_EQ(stats.drop_signatures(), 1u);
+  // The 3s RTT must not pollute the latency percentiles.
+  EXPECT_EQ(stats.latency.count(), 99u);
+  EXPECT_LT(stats.latency.p99(), millis(1));
+  EXPECT_NEAR(stats.drop_rate(), 0.01, 1e-9);
+  stats.clear();
+  EXPECT_EQ(static_cast<const ProbeCounts&>(stats), ProbeCounts{});
+  EXPECT_EQ(stats.latency.count(), 0u);
 }
 
 TEST(Record, CsvRoundTrip) {

@@ -77,12 +77,12 @@ TEST(DropRate, HeuristicCountsSignatures) {
   records[0].rtt = seconds(3) + micros(300);  // one SYN drop
   records[1].rtt = seconds(9) + micros(300);  // two SYN drops, counted once
   records[2].success = false;                 // excluded from denominator
-  DropEstimate e = estimate_drop_rate(records);
-  EXPECT_EQ(e.successful_probes, 9u);
-  EXPECT_EQ(e.failed_probes, 1u);
+  agent::ProbeCounts e = estimate_drop_rate(records);
+  EXPECT_EQ(e.successes, 9u);
+  EXPECT_EQ(e.failures, 1u);
   EXPECT_EQ(e.probes_3s, 1u);
   EXPECT_EQ(e.probes_9s, 1u);
-  EXPECT_NEAR(e.rate(), 2.0 / 9.0, 1e-12);
+  EXPECT_NEAR(e.drop_rate(), 2.0 / 9.0, 1e-12);
 }
 
 TEST(DropRate, ValidatedAgainstGroundTruthSingleTor) {
@@ -100,12 +100,12 @@ TEST(DropRate, ValidatedAgainstGroundTruthSingleTor) {
   cfg.intra_dc_interval = hours(10);  // only intra-pod (single-ToR) traffic
   FleetRun run = run_fleet(topo, net, 120, cfg);
 
-  DropEstimate est = estimate_drop_rate(run.records);
+  agent::ProbeCounts est = estimate_drop_rate(run.records);
   double truth = static_cast<double>(run.ground_truth_probes_with_drops) /
                  static_cast<double>(run.successful_probes);
   ASSERT_GT(run.successful_probes, 10000u);
   ASSERT_GT(est.probes_3s, 10u);
-  EXPECT_NEAR(est.rate(), truth, truth * 0.35 + 1e-4);
+  EXPECT_NEAR(est.drop_rate(), truth, truth * 0.35 + 1e-4);
 }
 
 TEST(DropRate, PerPairStats) {

@@ -179,7 +179,9 @@ TEST(ExtentCodec, TruncationAtEveryByteNeverCrashesAndCountsDrops) {
     RecordColumns out = dsa::decode_columnar(blob.substr(0, cut), &stats);
     // A truncated block never yields rows silently: whatever failed to
     // decode is accounted as dropped.
-    if (cut > 0) EXPECT_GT(stats.rows_dropped, 0u) << "cut=" << cut;
+    if (cut > 0) {
+      EXPECT_GT(stats.rows_dropped, 0u) << "cut=" << cut;
+    }
     EXPECT_EQ(out.size(), stats.rows_decoded) << "cut=" << cut;
   }
 }

@@ -169,7 +169,9 @@ TEST(Generator, Level3InterDcParticipants) {
   Pinglist pl2 = gen.generate_for(non_participant);
   for (const PingTarget& target : pl2.targets) {
     auto dst = t.find_server_by_ip(target.ip);
-    if (dst) EXPECT_EQ(t.server(*dst).dc, DcId{0});
+    if (dst) {
+      EXPECT_EQ(t.server(*dst).dc, DcId{0});
+    }
   }
 }
 

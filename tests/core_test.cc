@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/sketch.h"
 #include "common/stats.h"
 #include "core/fleet.h"
 #include "core/scenarios.h"
@@ -211,7 +212,7 @@ TEST(Qos, LowPriorityQueuesLongerUnderCongestion) {
   }
   ServerId a = topo.pods()[0].servers[0];
   ServerId b = topo.pods()[4].servers[0];  // cross-podset
-  LatencyHistogram high, low;
+  LatencySketch high, low;
   for (int i = 0; i < 4000; ++i) {
     netsim::ProbeSpec spec;
     auto r1 = net.tcp_probe(a, b, static_cast<std::uint16_t>(32768 + i), 33100, spec, 0);

@@ -197,7 +197,7 @@ TEST(DecodedExtentCache, CachedScanMatchesUncachedScan) {
     auto plain = scope::extract_records(s, from, seconds(15));
     auto cached = scope::extract_records(s, from, seconds(15), cache);
     ASSERT_EQ(plain.size(), cached.size());
-    EXPECT_EQ(agent::encode_batch(plain.rows()), agent::encode_batch(cached.rows()));
+    EXPECT_EQ(agent::encode_batch(plain), agent::encode_batch(cached));
   }
 }
 
@@ -242,37 +242,8 @@ TEST(DecodedExtentCache, EvictsOldestWhenFull) {
 }
 
 // ---------------------------------------------------------------------------
-// SCOPE engine
+// SCOPE EXTRACT
 // ---------------------------------------------------------------------------
-
-TEST(Scope, WhereSelectOrder) {
-  scope::DataSet<int> data({5, 3, 8, 1, 9, 2});
-  auto result = data.where([](int v) { return v > 2; })
-                    .select([](int v) { return v * 10; })
-                    .order_by([](int v) { return v; });
-  EXPECT_EQ(result.rows(), (std::vector<int>{30, 50, 80, 90}));
-}
-
-TEST(Scope, UnionAll) {
-  scope::DataSet<int> a({1, 2});
-  scope::DataSet<int> b({3});
-  EXPECT_EQ(a.union_all(b).size(), 3u);
-}
-
-struct SumAgg {
-  int total = 0;
-  void add(const int& v) { total += v; }
-  [[nodiscard]] int finish() const { return total; }
-};
-
-TEST(Scope, AggregateBy) {
-  scope::DataSet<int> data({1, 2, 3, 4, 5, 6});
-  auto groups = data.aggregate_by<SumAgg>([](int v) { return v % 2; });
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].first, 0);
-  EXPECT_EQ(groups[0].second, 12);  // 2+4+6
-  EXPECT_EQ(groups[1].second, 9);   // 1+3+5
-}
 
 TEST(Scope, ExtractFromStream) {
   topo::Topology t = small_dc();
@@ -286,7 +257,7 @@ TEST(Scope, ExtractFromStream) {
   s.append(agent::encode_batch(batch), batch.size(), seconds(0), seconds(9), seconds(10));
   auto data = scope::extract_records(s, seconds(2), seconds(5));
   EXPECT_EQ(data.size(), 3u);  // ts 2,3,4
-  for (const auto& r : data.rows()) {
+  for (const auto& r : data) {
     EXPECT_GE(r.timestamp, seconds(2));
     EXPECT_LT(r.timestamp, seconds(5));
   }
@@ -498,13 +469,11 @@ TEST(Pa, AggregatesPerPod) {
   const topo::Pod& pod0 = t.pods()[0];
 
   agent::CounterSnapshot s1;
-  s1.probes = 100;
-  s1.successes = 100;
-  s1.probes_3s = 1;
-  s1.p50_ns = micros(200);
-  s1.p99_ns = millis(1);
-  agent::CounterSnapshot s2 = s1;
-  s2.probes_3s = 3;
+  for (int i = 0; i < 99; ++i) s1.add(true, micros(200));
+  s1.add(true, seconds(3) + micros(200));
+  agent::CounterSnapshot s2;
+  for (int i = 0; i < 97; ++i) s2.add(true, micros(200));
+  for (int i = 0; i < 3; ++i) s2.add(true, seconds(3) + micros(200));
   pa.collect(pod0.servers[0], s1);
   pa.collect(pod0.servers[1], s2);
   pa.flush(minutes(5));
@@ -513,8 +482,12 @@ TEST(Pa, AggregatesPerPod) {
   const PaCounterRow& row = db.pa_counters[0];
   EXPECT_EQ(row.pod, pod0.id);
   EXPECT_EQ(row.probes, 200u);
+  EXPECT_EQ(row.drop_signatures, 4u);
   EXPECT_NEAR(row.drop_rate, 4.0 / 200.0, 1e-9);
+  // Pod percentiles come from the merged server sketches; the 3 s
+  // signatures never enter them.
   EXPECT_EQ(row.p50_ns, micros(200));
+  EXPECT_EQ(row.p99_ns, micros(200));
 
   // Flush clears the bucket.
   pa.flush(minutes(10));
@@ -544,27 +517,6 @@ TEST(Pa, AlertsOnDropRateWithSignatureFloor) {
   EXPECT_EQ(db.alerts[0].rule.rfind("pa:", 0), 0u);
   // Re-evaluating a later window does not double-fire on old rows.
   EXPECT_EQ(evaluate_pa_alerts(db, t, AlertThresholds{}, minutes(10), minutes(15)), 0);
-}
-
-TEST(LatencyAggregatorUnit, SeparatesSignaturesFromLatency) {
-  topo::Topology t = small_dc();
-  LatencyAggregator agg;
-  agent::LatencyRecord r;
-  r.success = true;
-  r.rtt = micros(250);
-  for (int i = 0; i < 99; ++i) agg.add(r);
-  r.rtt = seconds(3) + micros(250);  // retransmit artifact
-  agg.add(r);
-  r.success = false;
-  agg.add(r);
-  auto result = agg.finish();
-  EXPECT_EQ(result.probes, 101u);
-  EXPECT_EQ(result.successes, 100u);
-  EXPECT_EQ(result.failures, 1u);
-  EXPECT_EQ(result.drop_signatures, 1u);
-  // The 3s RTT must not pollute the latency percentiles.
-  EXPECT_LT(result.p99_ns, millis(1));
-  EXPECT_NEAR(result.drop_rate(), 0.01, 1e-9);
 }
 
 TEST(Database, QueriesFilter) {

@@ -1,3 +1,3 @@
 #pragma once
 #include "core/fleet.h"
-#include "streaming/sketch.h"
+#include "streaming/window.h"

@@ -88,7 +88,7 @@ TEST(LintRules, ServeBoundaryFiresBothWays) {
   EXPECT_EQ(r.violations[0].line, 2);  // the "serve/rollup.h" include
   EXPECT_EQ(r.violations[1].file, "serve/uses_core.h");
   EXPECT_EQ(r.violations[1].line, 2);  // the "core/fleet.h" include
-  // streaming/sketch.h is allow-listed for serve: must not fire.
+  // streaming/window.h is allow-listed for serve: must not fire.
 }
 
 TEST(LintRules, MissingHeaderGuardFires) {

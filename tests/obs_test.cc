@@ -18,7 +18,7 @@
 #include "serve/rollup.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
-#include "streaming/sketch.h"
+#include "common/sketch.h"
 
 namespace pingmesh {
 namespace {
@@ -66,7 +66,7 @@ TEST(Metrics, ExposeRendersSortedPrometheusText) {
   obs::Histogram& h = reg.histogram("demo.latency_ns");
   // Mirror the observations into a reference sketch so the expected
   // quantiles come from the same geometry, not hand-picked constants.
-  streaming::LatencySketch ref(MetricsRegistry::default_histogram_config());
+  LatencySketch ref(MetricsRegistry::default_histogram_config());
   for (std::int64_t v : {250'000, 310'000, 4'000'000}) {
     h.observe(v);
     ref.record(v);

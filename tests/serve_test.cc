@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -568,6 +570,25 @@ class PersistTest : public RollupTest {
 
   dsa::CosmosStore cosmos_;
 };
+
+TEST_F(PersistTest, CorpusSegmentRestoresAndReencodesByteIdentically) {
+  // The fuzz corpus's valid checkpoint payload, written under the fuzz
+  // harness's RollupConfig (= test_config()). Restoring it and encoding it
+  // back must reproduce it byte for byte: the cell layout (five counters,
+  // then the sparse sketch) and the geometry echo in the header are a
+  // persisted format, not an implementation detail.
+  std::ifstream in(std::string(PINGMESH_CORPUS_DIR) + "/rollup_seg/valid_state.bin",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  RollupStore store(topo_, nullptr, test_config());
+  ASSERT_TRUE(store.restore_state(bytes));
+  EXPECT_EQ(store.placed(), 1u);
+  EXPECT_EQ(store.cell_count(), 2u);
+  EXPECT_TRUE(store.check_conservation());
+  EXPECT_EQ(store.encode_state(), bytes);
+}
 
 TEST_F(PersistTest, WalReplayRebuildsDigestByteIdentically) {
   serve::PersistentRollupStore durable(topo_, nullptr, test_config(), cosmos_);

@@ -1,6 +1,5 @@
-// Tests for the streaming analytics path: LatencySketch correctness (merge
-// algebra, quantile error bounds on benign and adversarial distributions),
-// WindowedAggregator ring semantics at exact boundaries, OnlineDetector
+// Tests for the streaming analytics path: WindowedAggregator ring semantics
+// at exact boundaries, OnlineDetector
 // hysteresis + dedup, the shared open-alert registry, and the streaming-vs-
 // batch cross-validation over a full simulation (DESIGN.md §8).
 #include <algorithm>
@@ -19,221 +18,15 @@
 #include "dsa/pa.h"
 #include "netsim/fault.h"
 #include "streaming/detector.h"
-#include "streaming/sketch.h"
 #include "streaming/window.h"
 #include "topology/topology.h"
 
 namespace pingmesh {
 namespace {
 
-using streaming::LatencySketch;
 using streaming::OnlineDetector;
 using streaming::WindowedAggregator;
 using streaming::WindowStats;
-
-// --- LatencySketch -----------------------------------------------------------
-
-/// The sketch's own rank convention applied to the raw samples: the
-/// ceil(q * n)-th ranked value (1-based), same as LatencyHistogram.
-std::int64_t exact_rank_quantile(std::vector<std::int64_t> v, double q) {
-  std::sort(v.begin(), v.end());
-  auto target = static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
-  if (target == 0) target = 1;
-  return v[target - 1];
-}
-
-void expect_quantiles_within_bound(const LatencySketch& sk,
-                                   const std::vector<std::int64_t>& samples,
-                                   const char* label) {
-  for (double q : {0.10, 0.50, 0.90, 0.99, 0.999}) {
-    std::int64_t exact = exact_rank_quantile(samples, q);
-    std::int64_t est = sk.quantile(q);
-    // The documented bound plus float-boundary slack: a value landing exactly
-    // on a gamma^k boundary may round into the adjacent bucket, whose
-    // representative still satisfies the sqrt(gamma) ratio against it.
-    double tol = sk.relative_error_bound() * static_cast<double>(exact) * 1.001 + 2.0;
-    EXPECT_NEAR(static_cast<double>(est), static_cast<double>(exact), tol)
-        << label << " q=" << q;
-  }
-}
-
-TEST(LatencySketch, EmptyAndSingleValue) {
-  LatencySketch sk;
-  EXPECT_EQ(sk.count(), 0u);
-  EXPECT_EQ(sk.quantile(0.5), 0);
-  EXPECT_EQ(sk.min(), 0);
-  EXPECT_EQ(sk.max(), 0);
-  sk.record(micros(237));
-  // A single sample: every quantile clamps to the observed (exact) value.
-  EXPECT_EQ(sk.count(), 1u);
-  EXPECT_EQ(sk.p50(), micros(237));
-  EXPECT_EQ(sk.p999(), micros(237));
-  EXPECT_EQ(sk.min(), micros(237));
-  EXPECT_EQ(sk.max(), micros(237));
-  EXPECT_DOUBLE_EQ(sk.mean(), static_cast<double>(micros(237)));
-}
-
-TEST(LatencySketch, WeightedRecordMatchesRepeated) {
-  LatencySketch a;
-  LatencySketch b;
-  a.record(micros(500), 10);
-  for (int i = 0; i < 10; ++i) b.record(micros(500));
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.p50(), b.p50());
-  EXPECT_EQ(a.p99(), b.p99());
-}
-
-TEST(LatencySketch, ErrorBoundUniform) {
-  Rng rng(1);
-  std::vector<std::int64_t> samples;
-  LatencySketch sk;
-  for (int i = 0; i < 20000; ++i) {
-    auto v = static_cast<std::int64_t>(rng.uniform(5.0e4, 1.0e6));  // 50us..1ms
-    samples.push_back(v);
-    sk.record(v);
-  }
-  expect_quantiles_within_bound(sk, samples, "uniform");
-}
-
-TEST(LatencySketch, ErrorBoundLogNormal) {
-  Rng rng(2);
-  std::vector<std::int64_t> samples;
-  LatencySketch sk;
-  double log_median = std::log(2.0e5);  // 200us median
-  for (int i = 0; i < 20000; ++i) {
-    auto v = static_cast<std::int64_t>(std::exp(log_median + 0.6 * rng.normal()));
-    v = std::clamp<std::int64_t>(v, micros(2), seconds(10));
-    samples.push_back(v);
-    sk.record(v);
-  }
-  expect_quantiles_within_bound(sk, samples, "lognormal");
-}
-
-TEST(LatencySketch, ErrorBoundBimodalAdversarial) {
-  // Two tight modes three decades apart: quantiles sit right at the cliff,
-  // the worst case for bucketed sketches.
-  Rng rng(3);
-  std::vector<std::int64_t> samples;
-  LatencySketch sk;
-  for (int i = 0; i < 20000; ++i) {
-    std::int64_t v = rng.chance(0.2)
-                         ? static_cast<std::int64_t>(rng.uniform(3.9e6, 4.1e6))
-                         : static_cast<std::int64_t>(rng.uniform(1.9e5, 2.1e5));
-    samples.push_back(v);
-    sk.record(v);
-  }
-  expect_quantiles_within_bound(sk, samples, "bimodal");
-}
-
-TEST(LatencySketch, ErrorBoundHeavyTailAdversarial) {
-  // Pareto(alpha=1.2) from 100us, clamped to 10s: the P999 lives deep in a
-  // sparse tail spanning many octaves.
-  Rng rng(4);
-  std::vector<std::int64_t> samples;
-  LatencySketch sk;
-  for (int i = 0; i < 20000; ++i) {
-    double u = rng.uniform();
-    if (u < 1e-9) u = 1e-9;
-    auto v = static_cast<std::int64_t>(1.0e5 * std::pow(u, -1.0 / 1.2));
-    v = std::min<std::int64_t>(v, seconds(10));
-    samples.push_back(v);
-    sk.record(v);
-  }
-  expect_quantiles_within_bound(sk, samples, "heavy-tail");
-}
-
-TEST(LatencySketch, MergeMatchesUnion) {
-  Rng rng(5);
-  LatencySketch a;
-  LatencySketch b;
-  LatencySketch whole;
-  for (int i = 0; i < 5000; ++i) {
-    auto v = static_cast<std::int64_t>(rng.uniform(1.0e4, 5.0e6));
-    (i % 2 ? a : b).record(v);
-    whole.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_EQ(a.min(), whole.min());
-  EXPECT_EQ(a.max(), whole.max());
-  EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
-  for (double q = 0.01; q < 1.0; q += 0.01) {
-    EXPECT_EQ(a.quantile(q), whole.quantile(q)) << "q=" << q;
-  }
-}
-
-TEST(LatencySketch, MergeIsAssociativeAndCommutative) {
-  Rng rng(6);
-  auto fill = [&rng](LatencySketch& sk, int n) {
-    for (int i = 0; i < n; ++i) {
-      sk.record(static_cast<std::int64_t>(rng.uniform(2.0e4, 2.0e6)));
-    }
-  };
-  LatencySketch a;
-  LatencySketch b;
-  LatencySketch c;
-  fill(a, 1000);
-  fill(b, 1700);
-  fill(c, 300);
-
-  LatencySketch ab_c = a;  // (A + B) + C
-  ab_c.merge(b);
-  ab_c.merge(c);
-  LatencySketch bc = b;  // A + (B + C)
-  bc.merge(c);
-  LatencySketch a_bc = a;
-  a_bc.merge(bc);
-  LatencySketch cba = c;  // (C + B) + A — commuted order
-  cba.merge(b);
-  cba.merge(a);
-
-  EXPECT_EQ(ab_c.count(), a_bc.count());
-  EXPECT_EQ(ab_c.count(), cba.count());
-  for (double q = 0.005; q < 1.0; q += 0.005) {
-    EXPECT_EQ(ab_c.quantile(q), a_bc.quantile(q)) << "q=" << q;
-    EXPECT_EQ(ab_c.quantile(q), cba.quantile(q)) << "q=" << q;
-  }
-  EXPECT_EQ(ab_c.min(), cba.min());
-  EXPECT_EQ(ab_c.max(), cba.max());
-}
-
-TEST(LatencySketch, MergeRejectsGeometryMismatch) {
-  LatencySketch a;  // default 1%
-  LatencySketch b(LatencySketch::Config{0.02, 1'000, 16 * kNanosPerSecond});
-  EXPECT_FALSE(a.mergeable_with(b));
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LatencySketch, OutOfRangeValuesClampButStayExactWhenAlone) {
-  LatencySketch sk;
-  sk.record(10);  // below min_value_ns: first bucket, clamped to observed
-  EXPECT_EQ(sk.p50(), 10);
-  LatencySketch high;
-  high.record(120 * kNanosPerSecond);  // above max: saturating top bucket
-  EXPECT_EQ(high.p50(), 120 * kNanosPerSecond);
-}
-
-TEST(LatencySketch, ClearKeepsGeometryAndAllocatesNothing) {
-  LatencySketch sk;
-  std::size_t buckets = sk.bucket_count();
-  std::size_t mem = sk.memory_bytes();
-  sk.record(micros(100), 50);
-  sk.clear();
-  EXPECT_EQ(sk.count(), 0u);
-  EXPECT_EQ(sk.quantile(0.5), 0);
-  EXPECT_EQ(sk.bucket_count(), buckets);
-  EXPECT_EQ(sk.memory_bytes(), mem);
-  sk.record(micros(300));
-  EXPECT_EQ(sk.p50(), micros(300));
-}
-
-TEST(LatencySketch, MemoryIsSmallAndFixed) {
-  LatencySketch sk;  // 1% over 1us..60s
-  EXPECT_LT(sk.memory_bytes(), 16u * 1024u);
-  std::size_t before = sk.memory_bytes();
-  for (int i = 0; i < 100000; ++i) sk.record(micros(1) + i);
-  EXPECT_EQ(sk.memory_bytes(), before);
-}
 
 // --- WindowedAggregator ------------------------------------------------------
 
@@ -598,8 +391,6 @@ TEST(StreamingCrossValidation, WindowsMatchBatchPodPairRows) {
   core::PingmeshSimulation sim(cfg);
 
   const streaming::WindowedAggregator& win = sim.streaming()->windows();
-  // Streaming sketch (2%) + batch histogram bucket resolution + rounding.
-  const double rel_tol = 0.05;
   std::size_t checked = 0;
   std::size_t next_row = 0;
   while (sim.now() < hours(2)) {
@@ -612,24 +403,15 @@ TEST(StreamingCrossValidation, WindowsMatchBatchPodPairRows) {
       }
       auto s = win.query_range(row.src_pod, row.dst_pod, row.window_start, row.window_end);
       ASSERT_TRUE(s.has_value()) << "pair missing from streaming state";
-      // Same records, same classification: the counters agree exactly.
+      // Same records, same ProbeStats rule: the counters agree exactly.
       EXPECT_EQ(s->probes, row.probes) << "window@" << to_seconds(row.window_start);
       EXPECT_EQ(s->successes, row.successes);
       EXPECT_EQ(s->failures, row.failures);
       EXPECT_EQ(s->drop_signatures(), row.drop_signatures);
-      // Percentiles agree within the two estimators' documented resolutions.
-      if (row.p50_ns > 0 && s->p50_ns > 0) {
-        double tol50 = rel_tol * static_cast<double>(std::max(row.p50_ns, s->p50_ns)) +
-                       static_cast<double>(micros(2));
-        EXPECT_NEAR(static_cast<double>(s->p50_ns), static_cast<double>(row.p50_ns), tol50)
-            << "p50 window@" << to_seconds(row.window_start);
-      }
-      if (row.p99_ns > 0 && s->p99_ns > 0) {
-        double tol99 = rel_tol * static_cast<double>(std::max(row.p99_ns, s->p99_ns)) +
-                       static_cast<double>(micros(2));
-        EXPECT_NEAR(static_cast<double>(s->p99_ns), static_cast<double>(row.p99_ns), tol99)
-            << "p99 window@" << to_seconds(row.window_start);
-      }
+      // Both paths merge agent::ProbeStats of the same samples, so the
+      // percentiles come from the same bucket counts: equal, not just close.
+      EXPECT_EQ(s->p50_ns, row.p50_ns) << "p50 window@" << to_seconds(row.window_start);
+      EXPECT_EQ(s->p99_ns, row.p99_ns) << "p99 window@" << to_seconds(row.window_start);
       ++checked;
     }
   }

@@ -6,8 +6,9 @@
 #                    taint, lock discipline, hygiene rules; see
 #                    tools/lint/lint.h for the catalog), plus the
 #                    library-rule subset over tools/ and bench/
-#   2. tier-1      — default build + full ctest suite (includes the corpus
-#                    replay tests and the lint fixture tests), then an
+#   2. tier-1      — default build with -Werror + full ctest suite
+#                    (includes the corpus replay tests, the lint fixture
+#                    tests and the `shape`-labelled figure benches), then an
 #                    observability smoke (pingmeshctl metrics/trace must
 #                    show the wired subsystems; DESIGN.md §10), a chaos
 #                    replay smoke, and the self-healing soak smoke
@@ -43,7 +44,9 @@ banner() { printf '\n=== %s ===\n' "$*"; }
 
 # --- 1. lint ---------------------------------------------------------------
 banner "stage 1: pingmesh_lint"
-cmake -B build -S . >/dev/null
+# -Werror comes from the command line, never from a CMakeLists (perfbench
+# builds src/ through its own CMakeLists and must not fail on a warning).
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j --target pingmesh_lint >/dev/null
 ./build/tools/lint/pingmesh_lint src
 # tools/ and bench/ are CLI/bench code, not library code: only the
@@ -119,7 +122,7 @@ banner "stage 5: fuzz smoke (${FUZZ_SECONDS}s per harness)"
 cmake -B build-fuzz -S . -DPINGMESH_FUZZ=ON >/dev/null
 cmake --build build-fuzz -j --target tools >/dev/null 2>&1 || cmake --build build-fuzz -j >/dev/null
 if ls build-fuzz/tools/fuzz/fuzz_* >/dev/null 2>&1; then
-  for harness in xml http scopeql cosmos_io chaos_plan; do
+  for harness in xml http scopeql cosmos_io chaos_plan extent_codec rollup_seg; do
     bin="build-fuzz/tools/fuzz/fuzz_${harness}"
     if [[ -x "$bin" ]]; then
       echo "--- fuzz_${harness}"

@@ -61,6 +61,7 @@
 #include "analysis/droprate.h"
 #include "analysis/heatmap.h"
 #include "chaos/engine.h"
+#include "common/stats.h"
 #include "controller/generator.h"
 #include "core/fleet.h"
 #include "core/scenarios.h"
@@ -299,7 +300,7 @@ int cmd_drops(const Args& args) {
   long rounds = args.flag_int("rounds", 20);
 
   struct Acc {
-    analysis::DropEstimate intra, inter;
+    agent::ProbeCounts intra, inter;
   };
   std::vector<Acc> acc(topo.dcs().size());
   driver.run_dense(0, static_cast<int>(rounds), seconds(10),
@@ -307,21 +308,14 @@ int cmd_drops(const Args& args) {
                      if (!p.dst.valid()) return;
                      const topo::Server& s = topo.server(p.src);
                      const topo::Server& d = topo.server(p.dst);
-                     analysis::DropEstimate& e =
-                         s.pod == d.pod ? acc[s.dc.value].intra : acc[s.dc.value].inter;
-                     if (!p.outcome.success) {
-                       ++e.failed_probes;
-                       return;
-                     }
-                     ++e.successful_probes;
-                     if (p.outcome.syn_transmissions == 2) ++e.probes_3s;
-                     if (p.outcome.syn_transmissions == 3) ++e.probes_9s;
+                     Acc& a = acc[s.dc.value];
+                     (s.pod == d.pod ? a.intra : a.inter).add(p.outcome.success, p.outcome.rtt);
                    });
   std::printf("%-8s %14s %14s\n", "DC", "intra-pod", "inter-pod");
   for (std::size_t d = 0; d < acc.size(); ++d) {
     std::printf("%-8s %14s %14s\n", topo.dc(DcId{static_cast<std::uint32_t>(d)}).name.c_str(),
-                format_rate(acc[d].intra.rate()).c_str(),
-                format_rate(acc[d].inter.rate()).c_str());
+                format_rate(acc[d].intra.drop_rate()).c_str(),
+                format_rate(acc[d].inter.drop_rate()).c_str());
   }
   return 0;
 }
@@ -395,7 +389,7 @@ int cmd_query(const Args& args) {
   }
   SimTime last = 0;
   for (const auto& e : stream->extents()) last = std::max(last, e.last_ts);
-  auto records = dsa::scope::extract_records(*stream, 0, last + 1).rows();
+  auto records = dsa::scope::extract_records(*stream, 0, last + 1);
 
   topo::Topology topo = build_topology(args);
   dsa::scopeql::Interpreter ql(&topo);
