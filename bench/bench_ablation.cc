@@ -53,7 +53,7 @@ void ablation_participation() {
 
     controller::PinglistGenerator gen(topo, fleet_cfg());
     core::FleetProbeDriver driver(topo, net, gen);
-    std::vector<agent::LatencyRecord> records;
+    agent::RecordColumns records;
     driver.run_dense(0, 6, seconds(10), [&](const core::FleetProbe& p) {
       if (p.src.value % static_cast<std::uint32_t>(sample) != 0) return;  // sampling
       records.push_back(bench::to_record(topo, p));

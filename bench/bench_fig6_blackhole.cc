@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
 
     // The day's measurement window.
     core::FleetProbeDriver driver(topo, net, gen);
-    std::vector<agent::LatencyRecord> records;
+    agent::RecordColumns records;
     driver.run_dense(day_start, 6, seconds(10),
                      [&](const core::FleetProbe& p) { records.push_back(bench::to_record(topo, p)); });
 

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (int hour = 0; hour < kHours; ++hour) {
     SimTime window_start = hours(hour);
     core::FleetProbeDriver driver(topo, net, gen);
-    std::vector<agent::LatencyRecord> records;
+    agent::RecordColumns records;
     driver.run_dense(window_start, 4, minutes(1), [&](const core::FleetProbe& p) {
       records.push_back(bench::to_record(topo, p));
     });

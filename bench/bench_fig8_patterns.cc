@@ -17,6 +17,7 @@
 #include "controller/generator.h"
 #include "core/scenarios.h"
 #include "dsa/jobs.h"
+#include "dsa/scan_cache.h"
 #include "netsim/simnet.h"
 
 namespace {
@@ -42,15 +43,16 @@ analysis::PatternResult run_scenario(const Scenario& scenario, int index) {
   core::FleetProbeDriver driver(topo, net, gen);
 
   // One aggregation window of probing, through the DSA job into pod-pair rows.
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(0, 60, seconds(10), [&](const core::FleetProbe& p) {
     records.push_back(bench::to_record(topo, p));
   });
   dsa::CosmosStore store;
   dsa::CosmosStream& stream = store.stream(dsa::kLatencyStream);
-  stream.append(agent::encode_batch(records), records.size(), 0, minutes(10), minutes(10));
+  stream.append(records.encode_csv(), records.size(), 0, minutes(10), minutes(10));
   dsa::Database db;
-  dsa::JobContext ctx{&topo, nullptr, &db};
+  dsa::DecodedExtentCache cache;
+  dsa::JobContext ctx{&topo, nullptr, &db, &cache};
   dsa::run_pod_pair_job(stream, ctx, 0, minutes(10));
 
   analysis::Heatmap map(topo, DcId{0});

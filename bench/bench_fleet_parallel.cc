@@ -106,7 +106,7 @@ Throughput measure(const std::vector<agent::RecordColumns>& batches, Body body,
   return {static_cast<double>(rows) / dt, mb / dt};
 }
 
-void bench_encode_scan(const std::vector<agent::LatencyRecord>& records) {
+void bench_encode_scan(const agent::RecordColumns& records) {
   // Slice the stream into upload-batch-sized chunks grouped as the agents
   // produced them (one src per batch dominates, matching production).
   constexpr std::size_t kBatch = 2000;
@@ -114,7 +114,7 @@ void bench_encode_scan(const std::vector<agent::LatencyRecord>& records) {
   for (std::size_t i = 0; i < records.size(); i += kBatch) {
     agent::RecordColumns cols;
     for (std::size_t j = i; j < std::min(i + kBatch, records.size()); ++j) {
-      cols.push_back(records[j]);
+      cols.push_back(records.row(j));
     }
     batches.push_back(std::move(cols));
   }
@@ -359,7 +359,7 @@ struct RunResult {
   std::string sla;      // serialized SLA table
 };
 
-RunResult run(int workers, SimTime duration, std::vector<agent::LatencyRecord>* out) {
+RunResult run(int workers, SimTime duration, agent::RecordColumns* out) {
   core::SimulationConfig cfg = core::default_config(7);
   cfg.worker_threads = workers;
   cfg.include_server_sla_rows = true;
@@ -373,8 +373,8 @@ RunResult run(int workers, SimTime duration, std::vector<agent::LatencyRecord>* 
   r.wall_seconds = t1 - t0;
   r.probes = sim.total_probes();
   r.workers = sim.worker_threads();
-  std::vector<agent::LatencyRecord> records = sim.records_between(0, sim.now() + 1);
-  r.records = agent::encode_batch(records);
+  agent::RecordColumns records = sim.records_between(0, sim.now() + 1);
+  r.records = records.encode_csv();
   if (out != nullptr) *out = std::move(records);
   std::ostringstream sla;
   for (const auto& row : sim.db().sla_rows) {
@@ -405,7 +405,7 @@ int main(int argc, char** argv) {
               paper_scale ? "paper" : "small");
 
   bench::heading("full loop: speedup and determinism (medium two-DC)");
-  std::vector<agent::LatencyRecord> medium_records;
+  agent::RecordColumns medium_records;
   RunResult serial = run(1, duration, &medium_records);
   std::printf("  serial   (1 worker):  %6.2fs wall, %lu probes\n", serial.wall_seconds,
               static_cast<unsigned long>(serial.probes));

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   gcfg.enable_inter_dc = false;
   controller::PinglistGenerator gen(topo, gcfg);
   core::FleetProbeDriver driver(topo, net, gen);
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(0, 25, seconds(10), [&](const core::FleetProbe& p) {
     records.push_back(bench::to_record(topo, p));
   });

@@ -168,7 +168,7 @@ BENCHMARK(BM_PerfCountersRecord);
 
 void BM_ScopeAggregateByPod(benchmark::State& state) {
   const topo::Topology& topo = medium_topo();
-  std::vector<agent::LatencyRecord> rows;
+  agent::RecordColumns rows;
   Rng rng(9);
   for (int i = 0; i < 50'000; ++i) {
     agent::LatencyRecord r;
@@ -181,8 +181,9 @@ void BM_ScopeAggregateByPod(benchmark::State& state) {
   for (auto _ : state) {
     // The SCOPE jobs' GROUP BY: one pass into a per-key ProbeStats.
     std::map<std::uint32_t, agent::ProbeStats> groups;
-    for (const agent::LatencyRecord& r : rows) {
-      groups[topo.server(topo.server_by_ip(r.src_ip)).pod.value].add(r.success, r.rtt);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      groups[topo.server(topo.server_by_ip(rows.src_ip(i))).pod.value].add(rows.success(i),
+                                                                           rows.rtt(i));
     }
     benchmark::DoNotOptimize(groups.size());
   }
@@ -196,7 +197,7 @@ void BM_BlackholeDetect(benchmark::State& state) {
   net.faults().add_blackhole(topo.pods()[3].tor, netsim::BlackholeMode::kSrcDstPair, 0.05);
   controller::PinglistGenerator gen(topo, gen_cfg());
   core::FleetProbeDriver driver(topo, net, gen);
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(0, 4, seconds(10), [&](const core::FleetProbe& p) {
     agent::LatencyRecord r;
     r.src_ip = topo.server(p.src).ip;

@@ -166,12 +166,9 @@ int main(int argc, char** argv) {
   // through the sim's Cosmos store before every apply (section 5).
   serve::PersistentRollupStore durable(topo, &sim.services(), rcfg, sim.cosmos());
   ExactTap exact(topo);
-  serve::RecordTapFanout fanout;
-  if (sim.streaming() != nullptr) fanout.add(sim.streaming());
-  fanout.add(&store);
-  fanout.add(&durable);
-  fanout.add(&exact);
-  sim.uploader_for_test().set_tap(&fanout);
+  sim.add_record_tap(&store);
+  sim.add_record_tap(&durable);
+  sim.add_record_tap(&exact);
 
   auto t_build0 = std::chrono::steady_clock::now();
   sim.run_for(minutes(30));

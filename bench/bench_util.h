@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/fleet.h"

@@ -33,7 +33,7 @@ int main() {
   gcfg.enable_inter_dc = false;
   controller::PinglistGenerator gen(topo, gcfg);
   core::FleetProbeDriver driver(topo, net, gen);
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(0, 8, seconds(10), [&](const core::FleetProbe& p) {
     agent::LatencyRecord r;
     r.timestamp = p.time;

@@ -24,12 +24,10 @@ namespace {
 
 using namespace pingmesh;
 
-std::vector<agent::LatencyRecord> probe_window(const topo::Topology& topo,
-                                               netsim::SimNetwork& net,
-                                               const controller::PinglistGenerator& gen,
-                                               SimTime start) {
+agent::RecordColumns probe_window(const topo::Topology& topo, netsim::SimNetwork& net,
+                                  const controller::PinglistGenerator& gen, SimTime start) {
   core::FleetProbeDriver driver(topo, net, gen);
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(start, 6, seconds(10), [&](const core::FleetProbe& p) {
     agent::LatencyRecord r;
     r.timestamp = p.time;
@@ -44,7 +42,7 @@ std::vector<agent::LatencyRecord> probe_window(const topo::Topology& topo,
   return records;
 }
 
-void show_health(const char* when, const std::vector<agent::LatencyRecord>& records) {
+void show_health(const char* when, const agent::RecordColumns& records) {
   agent::ProbeCounts est = analysis::estimate_drop_rate(records);
   std::printf("%-22s drop rate %s over %lu probes\n", when,
               format_rate(est.drop_rate()).c_str(),

@@ -139,7 +139,7 @@ class PingmeshAgent {
   [[nodiscard]] std::size_t target_count() const { return targets_.size(); }
   [[nodiscard]] std::size_t buffered_records() const { return buffer_.size(); }
   [[nodiscard]] std::size_t buffered_bytes() const {
-    return buffer_.size() * LatencyRecord::kApproxBytes;
+    return buffer_.size() * RecordColumns::kBytesPerRecord;
   }
   [[nodiscard]] std::uint64_t pinglist_version() const { return pinglist_version_; }
   [[nodiscard]] std::uint64_t probes_launched() const { return probes_launched_; }

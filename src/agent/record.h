@@ -32,22 +32,6 @@ struct LatencyRecord {
 
   /// CSV column headers, in row order.
   static const std::vector<std::string>& csv_header();
-
-  /// Per-record footprint in the agent's buffer, for the memory budget.
-  /// The buffer is columnar (RecordColumns), so the footprint is exactly
-  /// the sum of the column element sizes — computed, not guessed, and
-  /// pinned by a static_assert in record_columns.h plus a unit test. (The
-  /// old hand-written constant of 64 drifted from the real representation;
-  /// a wrong value here scales the whole fleet's admission budget.)
-  static constexpr std::size_t kApproxBytes =
-      sizeof(SimTime)                // timestamp
-      + 2 * sizeof(std::uint32_t)    // src_ip, dst_ip
-      + 2 * sizeof(std::uint16_t)    // src_port, dst_port
-      + 3 * sizeof(std::uint8_t)     // kind, qos, success
-      + sizeof(SimTime)              // rtt
-      + sizeof(std::uint8_t)         // payload_success
-      + sizeof(SimTime)              // payload_rtt
-      + sizeof(std::uint32_t);       // payload_bytes
 };
 
 /// Row-level accounting for batch decoders. Malformed rows used to be

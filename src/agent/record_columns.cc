@@ -83,22 +83,6 @@ void RecordColumns::clear() {
   payload_bytes_.clear();
 }
 
-void RecordColumns::reset() {
-  clear();
-  timestamp_.shrink_to_fit();
-  src_ip_.shrink_to_fit();
-  dst_ip_.shrink_to_fit();
-  src_port_.shrink_to_fit();
-  dst_port_.shrink_to_fit();
-  kind_.shrink_to_fit();
-  qos_.shrink_to_fit();
-  success_.shrink_to_fit();
-  rtt_.shrink_to_fit();
-  payload_success_.shrink_to_fit();
-  payload_rtt_.shrink_to_fit();
-  payload_bytes_.shrink_to_fit();
-}
-
 void RecordColumns::reserve(std::size_t n) {
   timestamp_.reserve(n);
   src_ip_.reserve(n);
@@ -131,13 +115,29 @@ void RecordColumns::append(const RecordColumns& other) {
   cat(payload_bytes_, other.payload_bytes());
 }
 
-std::vector<LatencyRecord> RecordColumns::to_records(std::size_t from) const {
-  std::vector<LatencyRecord> out;
-  const std::size_t n = size();
-  if (from >= n) return out;
-  out.reserve(n - from);
-  for (std::size_t i = from; i < n; ++i) out.push_back(row(i));
-  return out;
+void RecordColumns::append_rows(const RecordColumns& other,
+                                const std::vector<std::uint32_t>& rows) {
+  if (rows.size() == other.size()) {  // every row: plain column copies
+    append(other);
+    return;
+  }
+  auto gather = [&rows](auto& dst, const auto* src) {
+    std::size_t k = dst.size();
+    dst.resize(k + rows.size());
+    for (std::uint32_t i : rows) dst[k++] = src[i];
+  };
+  gather(timestamp_, other.timestamps());
+  gather(src_ip_, other.src_ips());
+  gather(dst_ip_, other.dst_ips());
+  gather(src_port_, other.src_ports());
+  gather(dst_port_, other.dst_ports());
+  gather(kind_, other.kinds());
+  gather(qos_, other.qos());
+  gather(success_, other.successes());
+  gather(rtt_, other.rtts());
+  gather(payload_success_, other.payload_successes());
+  gather(payload_rtt_, other.payload_rtts());
+  gather(payload_bytes_, other.payload_bytes());
 }
 
 std::string RecordColumns::encode_csv(std::size_t from) const {

@@ -1,10 +1,10 @@
-// RecordColumns: struct-of-arrays batch representation for LatencyRecord.
-//
-// The agent buffer and the upload/scan hot paths used to move probe results
-// as std::vector<LatencyRecord> (array-of-structs) and std::deque, paying a
-// heap allocation per batch and poor cache behaviour per column scan. At
-// paper scale (~100k servers, §3: tens of TB/day) that churn dominates the
-// tick. RecordColumns keeps each field in its own contiguous array:
+// RecordColumns: the one record representation of the data path, a
+// struct-of-arrays batch of LatencyRecord fields. The agent buffer, upload,
+// the record taps, the decoded-extent cache and EXTRACT's output are
+// RecordColumns, and the SCOPE jobs, the localizers, heal and scopeql read
+// its columns. LatencyRecord stays the CSV/local-log row and the value a
+// batch is built from (push_back). Each field keeps its own contiguous
+// array:
 //
 //  - clear() drops the rows but keeps every column's capacity, so a
 //    per-shard instance acts as an arena that is reused tick after tick;
@@ -12,12 +12,12 @@
 //    shed-oldest path), compacting only when more than half the storage
 //    is dead;
 //  - column() accessors expose the raw arrays for SIMD-friendly scans
-//    (the dsa scan cache filters on the timestamp column without
-//    materializing rows).
+//    (EXTRACT filters on the timestamp column, then gathers the matching
+//    rows column by column).
 //
 // Row order is preserved: row(i) materializes the i-th LatencyRecord
 // exactly as it was pushed, so CSV encodings produced from a RecordColumns
-// are byte-identical to the AoS path.
+// are byte-identical to agent::encode_batch over the same rows.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +31,8 @@ namespace pingmesh::agent {
 
 class RecordColumns {
  public:
-  /// Exact per-row footprint of the columnar storage. Must match the
-  /// budget constant the agent uses for admission control.
+  /// Exact per-row footprint of the columnar storage: the agent's buffer
+  /// admission budget counts rows at this size.
   static constexpr std::size_t kBytesPerRecord =
       sizeof(SimTime)                // timestamp
       + 2 * sizeof(std::uint32_t)    // src_ip, dst_ip
@@ -42,9 +42,6 @@ class RecordColumns {
       + sizeof(std::uint8_t)         // payload_success
       + sizeof(SimTime)              // payload_rtt
       + sizeof(std::uint32_t);       // payload_bytes
-  static_assert(kBytesPerRecord == LatencyRecord::kApproxBytes,
-                "LatencyRecord::kApproxBytes must track the columnar "
-                "representation; update both together");
 
   [[nodiscard]] std::size_t size() const { return timestamp_.size() - head_; }
   [[nodiscard]] bool empty() const { return size() == 0; }
@@ -53,6 +50,12 @@ class RecordColumns {
 
   /// Materialize row i (0 == oldest retained row).
   [[nodiscard]] LatencyRecord row(std::size_t i) const;
+  /// Single fields of row i, for per-row consumers.
+  [[nodiscard]] SimTime timestamp(std::size_t i) const { return timestamp_[head_ + i]; }
+  [[nodiscard]] IpAddr src_ip(std::size_t i) const { return IpAddr(src_ip_[head_ + i]); }
+  [[nodiscard]] IpAddr dst_ip(std::size_t i) const { return IpAddr(dst_ip_[head_ + i]); }
+  [[nodiscard]] bool success(std::size_t i) const { return success_[head_ + i] != 0; }
+  [[nodiscard]] SimTime rtt(std::size_t i) const { return rtt_[head_ + i]; }
 
   /// Drop the n oldest rows (amortized O(1); storage is compacted lazily).
   void drop_front(std::size_t n);
@@ -60,14 +63,15 @@ class RecordColumns {
   /// Drop all rows but keep column capacity — the arena-reuse path.
   void clear();
 
-  /// Release all storage (capacity included).
-  void reset();
-
   void reserve(std::size_t n);
   [[nodiscard]] std::size_t capacity() const { return timestamp_.capacity(); }
 
   /// Append all rows of `other` to this batch.
   void append(const RecordColumns& other);
+
+  /// Append the rows of `other` numbered in `rows` (ascending), column by
+  /// column: EXTRACT's gather of the rows inside its time window.
+  void append_rows(const RecordColumns& other, const std::vector<std::uint32_t>& rows);
 
   /// Raw column access for scans. Index 0 is the oldest retained row;
   /// pointers are invalidated by any mutation.
@@ -87,9 +91,6 @@ class RecordColumns {
   [[nodiscard]] const std::uint32_t* payload_bytes() const {
     return payload_bytes_.data() + head_;
   }
-
-  /// Materialize rows [from, size()) as an AoS vector.
-  [[nodiscard]] std::vector<LatencyRecord> to_records(std::size_t from = 0) const;
 
   /// CSV-encode rows [from, size()) — byte-identical to
   /// agent::encode_batch over the same rows.

@@ -6,7 +6,7 @@
 
 namespace pingmesh::analysis {
 
-BlackholeReport BlackholeDetector::detect(const std::vector<agent::LatencyRecord>& window,
+BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
                                           const topo::Topology& topo) const {
   // 1. Per-pair failure statistics.
   auto pairs = per_pair_stats(window);
@@ -29,12 +29,11 @@ BlackholeReport BlackholeDetector::detect(const std::vector<agent::LatencyRecord
     std::unordered_map<std::uint32_t, std::vector<SimTime>> seen;
     SimTime window_min = 0;
     SimTime window_max = 0;
-    bool first = true;
-    for (const auto& r : window) {
-      if (first || r.timestamp < window_min) window_min = r.timestamp;
-      if (first || r.timestamp > window_max) window_max = r.timestamp;
-      first = false;
-      if (auto s = topo.find_server_by_ip(r.src_ip)) seen[s->value].push_back(r.timestamp);
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const SimTime ts = window.timestamp(i);
+      if (i == 0 || ts < window_min) window_min = ts;
+      if (i == 0 || ts > window_max) window_max = ts;
+      if (auto s = topo.find_server_by_ip(window.src_ip(i))) seen[s->value].push_back(ts);
     }
     for (auto& [server, times] : seen) {
       std::sort(times.begin(), times.end());

@@ -29,7 +29,7 @@
 
 #include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "analysis/droprate.h"
 #include "common/types.h"
 #include "topology/topology.h"
@@ -91,7 +91,7 @@ class BlackholeDetector {
  public:
   explicit BlackholeDetector(BlackholeConfig config = {}) : config_(config) {}
 
-  [[nodiscard]] BlackholeReport detect(const std::vector<agent::LatencyRecord>& window,
+  [[nodiscard]] BlackholeReport detect(const agent::RecordColumns& window,
                                        const topo::Topology& topo) const;
 
   [[nodiscard]] const BlackholeConfig& config() const { return config_; }

@@ -2,17 +2,16 @@
 
 namespace pingmesh::analysis {
 
-agent::ProbeCounts estimate_drop_rate(const std::vector<agent::LatencyRecord>& records) {
+agent::ProbeCounts estimate_drop_rate(const agent::RecordColumns& records) {
   agent::ProbeCounts e;
-  for (const agent::LatencyRecord& r : records) e.add(r.success, r.rtt);
+  for (std::size_t i = 0; i < records.size(); ++i) e.add(records.success(i), records.rtt(i));
   return e;
 }
 
-std::map<PairKey, agent::ProbeCounts> per_pair_stats(
-    const std::vector<agent::LatencyRecord>& records) {
+std::map<PairKey, agent::ProbeCounts> per_pair_stats(const agent::RecordColumns& records) {
   std::map<PairKey, agent::ProbeCounts> out;
-  for (const agent::LatencyRecord& r : records) {
-    out[PairKey{r.src_ip, r.dst_ip}].add(r.success, r.rtt);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out[PairKey{records.src_ip(i), records.dst_ip(i)}].add(records.success(i), records.rtt(i));
   }
   return out;
 }

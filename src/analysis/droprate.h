@@ -12,16 +12,15 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "agent/counters.h"
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/types.h"
 
 namespace pingmesh::analysis {
 
 /// Aggregate estimate over a record set: drop_rate() is the heuristic above.
-agent::ProbeCounts estimate_drop_rate(const std::vector<agent::LatencyRecord>& records);
+agent::ProbeCounts estimate_drop_rate(const agent::RecordColumns& records);
 
 /// Per source-destination pair estimates (input to black-hole detection).
 struct PairKey {
@@ -30,7 +29,6 @@ struct PairKey {
   auto operator<=>(const PairKey&) const = default;
 };
 
-std::map<PairKey, agent::ProbeCounts> per_pair_stats(
-    const std::vector<agent::LatencyRecord>& records);
+std::map<PairKey, agent::ProbeCounts> per_pair_stats(const agent::RecordColumns& records);
 
 }  // namespace pingmesh::analysis

@@ -4,20 +4,21 @@
 
 namespace pingmesh::analysis {
 
-LengthDependenceReport detect_length_dependent_loss(
-    const std::vector<agent::LatencyRecord>& window,
-    const LengthDependenceConfig& config) {
+LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window,
+                                                    const LengthDependenceConfig& config) {
   LengthDependenceReport report;
   agent::ProbeCounts syn;
-  for (const agent::LatencyRecord& r : window) {
-    if (!r.success) continue;  // connect failed: no payload leg to compare
-    syn.add(r.success, r.rtt);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    if (!window.success(i)) continue;  // connect failed: no payload leg to compare
+    syn.add(true, window.rtt(i));
 
-    if (r.kind != controller::ProbeKind::kTcpPayload) continue;
+    if (window.kinds()[i] != static_cast<std::uint8_t>(controller::ProbeKind::kTcpPayload)) {
+      continue;
+    }
     ++report.payload_probes;
-    if (!r.payload_success) {
+    if (window.payload_successes()[i] == 0) {
       ++report.payload_failures;
-    } else if (r.payload_rtt - r.rtt >= millis(250)) {
+    } else if (window.payload_rtts()[i] - window.rtt(i) >= millis(250)) {
       // A healthy echo takes about one more RTT than the connect; a gap of
       // an RTO or more means the data or echo packet was retransmitted.
       ++report.payload_retransmits;

@@ -14,9 +14,7 @@
 // loss — flags an FCS-style incident.
 #pragma once
 
-#include <vector>
-
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/types.h"
 
 namespace pingmesh::analysis {
@@ -45,8 +43,7 @@ struct LengthDependenceReport {
   }
 };
 
-LengthDependenceReport detect_length_dependent_loss(
-    const std::vector<agent::LatencyRecord>& window,
-    const LengthDependenceConfig& config = {});
+LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window,
+                                                    const LengthDependenceConfig& config = {});
 
 }  // namespace pingmesh::analysis

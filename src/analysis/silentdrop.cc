@@ -33,15 +33,15 @@ std::vector<SwitchId> tcp_traceroute(netsim::SimNetwork& net, const FiveTuple& t
 }
 
 std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
-    const std::vector<agent::LatencyRecord>& window, const topo::Topology& topo) const {
+    const agent::RecordColumns& window, const topo::Topology& topo) const {
   std::unordered_map<std::uint32_t, agent::ProbeCounts> per_dc;
-  for (const agent::LatencyRecord& r : window) {
-    auto src = topo.find_server_by_ip(r.src_ip);
-    auto dst = topo.find_server_by_ip(r.dst_ip);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    auto src = topo.find_server_by_ip(window.src_ip(i));
+    auto dst = topo.find_server_by_ip(window.dst_ip(i));
     if (!src || !dst) continue;
     const topo::Server& s = topo.server(*src);
     if (s.dc != topo.server(*dst).dc) continue;  // intra-DC view
-    per_dc[s.dc.value].add(r.success, r.rtt);
+    per_dc[s.dc.value].add(window.success(i), window.rtt(i));
   }
   std::optional<DcId> worst;
   double worst_rate = 0.0;
@@ -56,9 +56,9 @@ std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
   return worst;
 }
 
-SilentDropReport SilentDropLocalizer::localize(
-    const std::vector<agent::LatencyRecord>& window, const topo::Topology& topo,
-    netsim::SimNetwork& net, SimTime now) const {
+SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& window,
+                                               const topo::Topology& topo,
+                                               netsim::SimNetwork& net, SimTime now) const {
   SilentDropReport report;
   auto affected = detect_affected_dc(window, topo);
   if (!affected) return report;
@@ -69,15 +69,15 @@ SilentDropReport SilentDropLocalizer::localize(
   agent::ProbeCounts intra_podset;
   agent::ProbeCounts cross_podset;
   agent::ProbeCounts dc_all;
-  for (const agent::LatencyRecord& r : window) {
-    auto src = topo.find_server_by_ip(r.src_ip);
-    auto dst = topo.find_server_by_ip(r.dst_ip);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    auto src = topo.find_server_by_ip(window.src_ip(i));
+    auto dst = topo.find_server_by_ip(window.dst_ip(i));
     if (!src || !dst) continue;
     const topo::Server& s = topo.server(*src);
     const topo::Server& d = topo.server(*dst);
     if (s.dc != report.affected_dc || d.dc != report.affected_dc) continue;
-    dc_all.add(r.success, r.rtt);
-    (s.podset == d.podset ? intra_podset : cross_podset).add(r.success, r.rtt);
+    dc_all.add(window.success(i), window.rtt(i));
+    (s.podset == d.podset ? intra_podset : cross_podset).add(window.success(i), window.rtt(i));
   }
   report.dc_drop_rate = dc_all.drop_rate();
   report.intra_podset_rate = intra_podset.drop_rate();

@@ -15,7 +15,7 @@
 #include <optional>
 #include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "netsim/simnet.h"
@@ -70,12 +70,12 @@ class SilentDropLocalizer {
   explicit SilentDropLocalizer(SilentDropConfig config = {}) : config_(config) {}
 
   /// Passive phase: find the affected DC (if any) from a record window.
-  [[nodiscard]] std::optional<DcId> detect_affected_dc(
-      const std::vector<agent::LatencyRecord>& window, const topo::Topology& topo) const;
+  [[nodiscard]] std::optional<DcId> detect_affected_dc(const agent::RecordColumns& window,
+                                                      const topo::Topology& topo) const;
 
   /// Passive + active: classify the suspect tier from the window, then (if
   /// Spine) traceroute+probe through `net` to pinpoint the culprit.
-  [[nodiscard]] SilentDropReport localize(const std::vector<agent::LatencyRecord>& window,
+  [[nodiscard]] SilentDropReport localize(const agent::RecordColumns& window,
                                           const topo::Topology& topo,
                                           netsim::SimNetwork& net, SimTime now) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "agent/record.h"
 #include "chaos/injector.h"
 #include "common/rng.h"
 #include "core/scenarios.h"
@@ -141,7 +140,7 @@ ChaosRunResult run_plan(const ChaosPlan& plan, const ChaosRunOptions& options) {
   }
 
   result.total_probes = sim.total_probes();
-  result.records = agent::encode_batch(sim.records_between(0, sim.now() + 1));
+  result.records = sim.records_between(0, sim.now() + 1).encode_csv();
   result.report = check_invariants(sim, plan, wants_serve ? &result.serve : nullptr,
                                    plan.heal ? &result.heal : nullptr);
   result.totals = collect_totals(sim);

@@ -191,11 +191,13 @@ InvariantFinding check_blame_localization(const core::PingmeshSimulation& sim,
                             "fault repaired before any record window accrued");
     }
   }
-  for (const auto& r : sim.records_between(fault->start, to)) {
-    auto src = topo.find_server_by_ip(r.src_ip);
-    auto dst = topo.find_server_by_ip(r.dst_ip);
+  const agent::RecordColumns records = sim.records_between(fault->start, to);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    auto src = topo.find_server_by_ip(records.src_ip(i));
+    auto dst = topo.find_server_by_ip(records.dst_ip(i));
     if (!src || !dst) continue;
-    pairs[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(r.success, r.rtt);
+    pairs[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(records.success(i),
+                                                                          records.rtt(i));
   }
 
   // Worst pair by bad-fraction among pairs with enough probes; ties are

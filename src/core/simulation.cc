@@ -21,7 +21,8 @@ PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
       repair_(config_.repair,
               [this](SwitchId sw) { net_.faults().clear_blackholes_on(sw); },
               [this](SwitchId sw) { net_.faults().clear_all_on(sw); }),
-      watchdogs_() {
+      watchdogs_(),
+      pool_(config_.worker_threads) {
   job_ctx_.topo = &topo_;
   job_ctx_.services = &services_;
   job_ctx_.db = &db_;
@@ -38,10 +39,7 @@ PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
     replica_up_.push_back(1);
   }
 
-  if (config_.worker_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.worker_threads);
-  }
-  shard_scratch_.resize(pool_ ? static_cast<std::size_t>(pool_->worker_count()) : 1);
+  shard_scratch_.resize(static_cast<std::size_t>(pool_.worker_count()));
 
   uploader_.set_encoding(config_.columnar_extents ? dsa::ExtentEncoding::kColumnar
                                                   : dsa::ExtentEncoding::kCsv);
@@ -135,15 +133,13 @@ void PingmeshSimulation::wire_observability() {
   reg.gauge_fn("threadpool.workers", "",
                [this] { return static_cast<double>(worker_threads()); });
   reg.gauge_fn("threadpool.parallel_for_total", "", [this] {
-    return pool_ ? static_cast<double>(pool_->stats().parallel_for_calls) : 0.0;
+    return static_cast<double>(pool_.stats().parallel_for_calls);
   });
-  reg.gauge_fn("threadpool.items_total", "", [this] {
-    return pool_ ? static_cast<double>(pool_->stats().items_total) : 0.0;
-  });
+  reg.gauge_fn("threadpool.items_total", "",
+               [this] { return static_cast<double>(pool_.stats().items_total); });
   // Real elapsed time, not virtual: excluded from golden snapshots.
-  reg.gauge_fn("threadpool.busy_ns_total", "", [this] {
-    return pool_ ? static_cast<double>(pool_->stats().busy_ns_total) : 0.0;
-  });
+  reg.gauge_fn("threadpool.busy_ns_total", "",
+               [this] { return static_cast<double>(pool_.stats().busy_ns_total); });
   reg.gauge_fn("cosmos.extents", "", [this] {
     const dsa::CosmosStream* s = cosmos_.find(dsa::kLatencyStream);
     return s ? static_cast<double>(s->extents().size()) : 0.0;
@@ -313,11 +309,7 @@ void PingmeshSimulation::tick_agents(SimTime now) {
       }
     }
   };
-  if (pool_) {
-    pool_->parallel_for_shards(servers.size(), shard);
-  } else {
-    shard(0, 0, servers.size());
-  }
+  pool_.parallel_for_shards(servers.size(), shard);
 
   // Serial phase 1 (after the barrier): pinglist fetches in server-id
   // order. A newly adopted pinglist may have probes due immediately; they
@@ -365,8 +357,7 @@ void PingmeshSimulation::tick_jobs(SimTime now) {
   }
 }
 
-std::vector<agent::LatencyRecord> PingmeshSimulation::records_between(SimTime from,
-                                                                      SimTime to) const {
+agent::RecordColumns PingmeshSimulation::records_between(SimTime from, SimTime to) const {
   const dsa::CosmosStream* s = cosmos_.find(dsa::kLatencyStream);
   if (s == nullptr) return {};
   return dsa::scope::extract_records(*s, from, to, scan_cache_);

@@ -125,10 +125,9 @@ class PingmeshSimulation {
 
   /// Attach an additional record tap to the upload-drain phase. The
   /// uploader has a single tap slot; the sim multiplexes the streaming
-  /// pipeline and externally attached consumers (serving harnesses, chaos)
-  /// through an internal fanout, in attach order. Driver thread only, and
-  /// before run_for; `tap` must outlive the simulation. (Tests that call
-  /// uploader_for_test().set_tap() directly still replace the whole slot.)
+  /// pipeline (always first) and externally attached consumers (serving
+  /// harnesses, chaos) through an internal fanout, in attach order. Driver
+  /// thread only, and before run_for; `tap` must outlive the simulation.
   void add_record_tap(dsa::RecordTap* tap);
 
   /// Observability layer; null unless config().observability.enabled.
@@ -157,8 +156,7 @@ class PingmeshSimulation {
   void register_vip(IpAddr vip, std::vector<ServerId> dips);
 
   /// Records currently scannable in the latency stream over [from, to).
-  [[nodiscard]] std::vector<agent::LatencyRecord> records_between(SimTime from,
-                                                                  SimTime to) const;
+  [[nodiscard]] agent::RecordColumns records_between(SimTime from, SimTime to) const;
 
   // --- aggregate statistics -------------------------------------------------
   [[nodiscard]] std::uint64_t total_probes() const {
@@ -172,7 +170,7 @@ class PingmeshSimulation {
     return scan_cache_.rows_dropped();
   }
   /// Worker parallelism actually in use (>= 1).
-  [[nodiscard]] int worker_threads() const { return pool_ ? pool_->worker_count() : 1; }
+  [[nodiscard]] int worker_threads() const { return pool_.worker_count(); }
 
  private:
   void tick_agents(SimTime now);
@@ -214,7 +212,8 @@ class PingmeshSimulation {
   autopilot::WatchdogService watchdogs_;
   dsa::JobContext job_ctx_;
   mutable dsa::DecodedExtentCache scan_cache_;
-  std::unique_ptr<ThreadPool> pool_;  // null when worker_threads == 1
+  /// Runs the agent tick; a pool of 1 runs it inline on the driver thread.
+  ThreadPool pool_;
   /// Per-shard TickActions arenas, indexed by shard. Shard i always runs on
   /// the same pool thread, so its scratch stays core-local across ticks and
   /// the steady-state tick allocates nothing.

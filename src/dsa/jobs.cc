@@ -7,19 +7,10 @@
 #include "agent/counters.h"
 #include "common/stats.h"
 #include "dsa/scan_cache.h"
-#include "dsa/scope.h"
 
 namespace pingmesh::dsa {
 
 namespace {
-
-/// EXTRACT through the context's decoded-extent cache when one is wired.
-std::vector<agent::LatencyRecord> extract(const CosmosStream& stream, const JobContext& ctx,
-                                          SimTime from, SimTime to) {
-  return ctx.scan_cache != nullptr
-             ? scope::extract_records(stream, from, to, *ctx.scan_cache)
-             : scope::extract_records(stream, from, to);
-}
 
 /// GROUP BY key: one probe aggregate per key, iterated in key order (the
 /// row order every job writes).
@@ -50,11 +41,13 @@ void run_pod_pair_job(const CosmosStream& stream, const JobContext& ctx, SimTime
                       SimTime to) {
   const topo::Topology& topo = *ctx.topo;
   Groups<std::pair<std::uint32_t, std::uint32_t>> groups;  // (src pod, dst pod)
-  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
-    auto src = topo.find_server_by_ip(r.src_ip);
-    auto dst = topo.find_server_by_ip(r.dst_ip);
+  const agent::RecordColumns rows = scope::extract_records(stream, from, to, *ctx.scan_cache);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto src = topo.find_server_by_ip(rows.src_ip(i));
+    auto dst = topo.find_server_by_ip(rows.dst_ip(i));
     if (!src || !dst) continue;
-    groups[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(r.success, r.rtt);
+    groups[{topo.server(*src).pod.value, topo.server(*dst).pod.value}].add(rows.success(i),
+                                                                           rows.rtt(i));
   }
   for (const auto& [key, stats] : groups) {
     PodPairStatRow row;
@@ -91,15 +84,18 @@ void run_sla_job(const CosmosStream& stream, const JobContext& ctx, SimTime from
   // SLA is attributed to the probing (source) server's scope: every server
   // measures its own view of the network.
   Groups<std::uint32_t> pods, podsets, dcs, servers, services;
-  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
-    auto src = topo.find_server_by_ip(r.src_ip);
+  const agent::RecordColumns rows = scope::extract_records(stream, from, to, *ctx.scan_cache);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto src = topo.find_server_by_ip(rows.src_ip(i));
     if (!src) continue;
     const topo::Server& s = topo.server(*src);
-    pods[s.pod.value].add(r.success, r.rtt);
-    podsets[s.podset.value].add(r.success, r.rtt);
-    dcs[s.dc.value].add(r.success, r.rtt);
-    if (include_server_rows) servers[src->value].add(r.success, r.rtt);
-    for (std::uint32_t svc : services_of[src->value]) services[svc].add(r.success, r.rtt);
+    const bool success = rows.success(i);
+    const SimTime rtt = rows.rtt(i);
+    pods[s.pod.value].add(success, rtt);
+    podsets[s.podset.value].add(success, rtt);
+    dcs[s.dc.value].add(success, rtt);
+    if (include_server_rows) servers[src->value].add(success, rtt);
+    for (std::uint32_t svc : services_of[src->value]) services[svc].add(success, rtt);
   }
   emit_sla_rows(ctx, from, to, SlaScope::kPod, pods);
   emit_sla_rows(ctx, from, to, SlaScope::kPodset, podsets);
@@ -117,15 +113,16 @@ void run_dc_drop_job(const CosmosStream& stream, const JobContext& ctx, SimTime 
   };
   std::vector<DcAcc> acc(topo.dcs().size());
 
-  for (const agent::LatencyRecord& r : extract(stream, ctx, from, to)) {
-    auto src = topo.find_server_by_ip(r.src_ip);
-    auto dst = topo.find_server_by_ip(r.dst_ip);
+  const agent::RecordColumns rows = scope::extract_records(stream, from, to, *ctx.scan_cache);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto src = topo.find_server_by_ip(rows.src_ip(i));
+    auto dst = topo.find_server_by_ip(rows.dst_ip(i));
     if (!src || !dst) continue;
     const topo::Server& s = topo.server(*src);
     const topo::Server& d = topo.server(*dst);
     if (s.dc != d.dc) continue;  // Table 1 is intra-DC only
     DcAcc& a = acc[s.dc.value];
-    (s.pod == d.pod ? a.intra : a.inter).add(r.success, r.rtt);
+    (s.pod == d.pod ? a.intra : a.inter).add(rows.success(i), rows.rtt(i));
   }
   for (std::size_t dc = 0; dc < acc.size(); ++dc) {
     const agent::ProbeCounts& intra = acc[dc].intra;

@@ -35,7 +35,7 @@ struct JobContext {
   const topo::Topology* topo = nullptr;
   const topo::ServiceMap* services = nullptr;  // may be null (no service SLAs)
   Database* db = nullptr;
-  DecodedExtentCache* scan_cache = nullptr;  // may be null (decode every scan)
+  DecodedExtentCache* scan_cache = nullptr;  // EXTRACT's decoded extents; required
 };
 
 /// 10-minute job: pod-pair aggregation -> PodPairStatRow.

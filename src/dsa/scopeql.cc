@@ -501,20 +501,26 @@ class Parser {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-std::int64_t column_value(const agent::LatencyRecord& r, ColumnId column) {
+/// One row of the queried batch.
+struct Row {
+  const agent::RecordColumns& data;
+  std::size_t i;
+};
+
+std::int64_t column_value(const Row& r, ColumnId column) {
   switch (column) {
-    case ColumnId::kTimestamp: return r.timestamp;
-    case ColumnId::kSrcIp: return r.src_ip.v;
-    case ColumnId::kDstIp: return r.dst_ip.v;
-    case ColumnId::kSrcPort: return r.src_port;
-    case ColumnId::kDstPort: return r.dst_port;
-    case ColumnId::kKind: return static_cast<std::int64_t>(r.kind);
-    case ColumnId::kQos: return static_cast<std::int64_t>(r.qos);
-    case ColumnId::kSuccess: return r.success ? 1 : 0;
-    case ColumnId::kRtt: return r.rtt;
-    case ColumnId::kPayloadSuccess: return r.payload_success ? 1 : 0;
-    case ColumnId::kPayloadRtt: return r.payload_rtt;
-    case ColumnId::kPayloadBytes: return r.payload_bytes;
+    case ColumnId::kTimestamp: return r.data.timestamp(r.i);
+    case ColumnId::kSrcIp: return r.data.src_ip(r.i).v;
+    case ColumnId::kDstIp: return r.data.dst_ip(r.i).v;
+    case ColumnId::kSrcPort: return r.data.src_ports()[r.i];
+    case ColumnId::kDstPort: return r.data.dst_ports()[r.i];
+    case ColumnId::kKind: return r.data.kinds()[r.i];
+    case ColumnId::kQos: return r.data.qos()[r.i];
+    case ColumnId::kSuccess: return r.data.success(r.i) ? 1 : 0;
+    case ColumnId::kRtt: return r.data.rtt(r.i);
+    case ColumnId::kPayloadSuccess: return r.data.payload_successes()[r.i] != 0 ? 1 : 0;
+    case ColumnId::kPayloadRtt: return r.data.payload_rtts()[r.i];
+    case ColumnId::kPayloadBytes: return r.data.payload_bytes()[r.i];
   }
   return 0;
 }
@@ -523,7 +529,7 @@ struct EvalContext {
   const topo::Topology* topo;
 };
 
-std::int64_t eval(const Expr& e, const agent::LatencyRecord& r, const EvalContext& ctx) {
+std::int64_t eval(const Expr& e, const Row& r, const EvalContext& ctx) {
   switch (e.kind) {
     case Expr::Kind::kLiteral: return e.literal;
     case Expr::Kind::kColumn: return column_value(r, e.column);
@@ -643,7 +649,7 @@ std::string QueryResult::to_table() const {
 }
 
 QueryResult Interpreter::run(std::string_view query_text,
-                             const std::vector<agent::LatencyRecord>& data) const {
+                             const agent::RecordColumns& data) const {
   Parser parser(lex(query_text));
   Query query = parser.parse();
   EvalContext ctx{topo_};
@@ -651,12 +657,11 @@ QueryResult Interpreter::run(std::string_view query_text,
   QueryResult result;
   for (const SelectItem& item : query.select) result.columns.push_back(item.label);
 
-  auto matches = [&](const agent::LatencyRecord& r) {
-    return !query.where || eval(*query.where, r, ctx) != 0;
-  };
+  auto matches = [&](const Row& r) { return !query.where || eval(*query.where, r, ctx) != 0; };
 
   if (!query.aggregated) {
-    for (const agent::LatencyRecord& r : data) {
+    for (std::size_t i = 0, n = data.size(); i < n; ++i) {
+      const Row r{data, i};
       if (!matches(r)) continue;
       std::vector<std::int64_t> raw;
       std::vector<std::string> rendered;
@@ -675,7 +680,8 @@ QueryResult Interpreter::run(std::string_view query_text,
       std::vector<Accumulator> accs;
     };
     std::map<std::vector<std::int64_t>, Group> groups;
-    for (const agent::LatencyRecord& r : data) {
+    for (std::size_t i = 0, n = data.size(); i < n; ++i) {
+      const Row r{data, i};
       if (!matches(r)) continue;
       std::vector<std::int64_t> key;
       key.reserve(query.group_by.size());
@@ -689,7 +695,7 @@ QueryResult Interpreter::run(std::string_view query_text,
         const SelectItem& item = query.select[s];
         Accumulator& acc = group.accs[s];
         if (item.agg == AggFn::kDropRate) {
-          acc.outcomes.add(r.success, r.rtt);
+          acc.outcomes.add(data.success(i), data.rtt(i));
         } else if (item.agg == AggFn::kCount && !item.expr) {
           ++acc.count;
         } else if (item.agg != AggFn::kNone) {

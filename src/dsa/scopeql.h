@@ -33,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "topology/topology.h"
 
 namespace pingmesh::dsa::scopeql {
@@ -58,9 +58,8 @@ class Interpreter {
   /// `topo` may be null: topology functions then raise QueryError.
   explicit Interpreter(const topo::Topology* topo = nullptr) : topo_(topo) {}
 
-  /// Parse and execute one query against `data`.
-  [[nodiscard]] QueryResult run(std::string_view query,
-                                const std::vector<agent::LatencyRecord>& data) const;
+  /// Parse and execute one query against the rows of `data`.
+  [[nodiscard]] QueryResult run(std::string_view query, const agent::RecordColumns& data) const;
 
  private:
   const topo::Topology* topo_;

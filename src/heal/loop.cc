@@ -75,7 +75,6 @@ HealingLoop::HealingLoop(core::PingmeshSimulation& sim, HealConfig config)
   for (const topo::Pod& pod : topo.pods()) {
     pod_by_tor_name_[topo.sw(pod.tor).name] = pod.id;
   }
-  for (const topo::Server& s : topo.servers()) pod_by_ip_[s.ip] = s.pod;
 }
 
 void HealingLoop::attach() {
@@ -162,7 +161,14 @@ void HealingLoop::stamp_deferred_repairs(const std::vector<SwitchId>& reloaded, 
   }
 }
 
-double HealingLoop::pair_success_rate(const Incident& inc, SimTime from, SimTime to) const {
+PodId HealingLoop::pod_of(IpAddr ip) const {
+  const topo::Topology& topo = sim_->topology();
+  auto server = topo.find_server_by_ip(ip);
+  return server ? topo.server(*server).pod : PodId{};
+}
+
+double HealingLoop::pair_success_rate(const Incident& inc,
+                                      const agent::RecordColumns& records) const {
   std::set<std::uint32_t> pods;
   for (const auto& [scope, rule] : inc.triggers) {
     (void)rule;
@@ -174,30 +180,26 @@ double HealingLoop::pair_success_rate(const Incident& inc, SimTime from, SimTime
   if (pods.empty()) return -1.0;
   std::uint64_t total = 0;
   std::uint64_t ok = 0;
-  for (const agent::LatencyRecord& r : sim_->records_between(from, to)) {
-    auto src = pod_by_ip_.find(r.src_ip);
-    auto dst = pod_by_ip_.find(r.dst_ip);
-    bool involved = (src != pod_by_ip_.end() && pods.contains(src->second.value)) ||
-                    (dst != pod_by_ip_.end() && pods.contains(dst->second.value));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const PodId src = pod_of(records.src_ip(i));
+    const PodId dst = pod_of(records.dst_ip(i));
+    bool involved = (src.valid() && pods.contains(src.value)) ||
+                    (dst.valid() && pods.contains(dst.value));
     if (!involved) continue;
     ++total;
-    if (r.success) ++ok;
+    if (records.success(i)) ++ok;
   }
   if (total == 0) return -1.0;
   return static_cast<double>(ok) / static_cast<double>(total);
 }
 
-bool HealingLoop::symptom_current(PodId pod,
-                                  const std::vector<agent::LatencyRecord>& records,
+bool HealingLoop::symptom_current(PodId pod, const agent::RecordColumns& records,
                                   SimTime now) const {
   SimTime from = now > config_.symptom_recency ? now - config_.symptom_recency : 0;
   int failures = 0;
-  for (const agent::LatencyRecord& r : records) {
-    if (r.timestamp < from || r.success) continue;
-    auto src = pod_by_ip_.find(r.src_ip);
-    auto dst = pod_by_ip_.find(r.dst_ip);
-    bool involved = (src != pod_by_ip_.end() && src->second == pod) ||
-                    (dst != pod_by_ip_.end() && dst->second == pod);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records.timestamp(i) < from || records.success(i)) continue;
+    bool involved = pod_of(records.src_ip(i)) == pod || pod_of(records.dst_ip(i)) == pod;
     if (involved && ++failures >= config_.min_recent_failures) return true;
   }
   return false;
@@ -227,7 +229,7 @@ void HealingLoop::corroborate(SimTime now) {
   const topo::Topology& topo = sim_->topology();
   obs::Observability* obs = sim_->observability();
   SimTime from = now > config_.corroborate_lookback ? now - config_.corroborate_lookback : 0;
-  std::vector<agent::LatencyRecord> records = sim_->records_between(from, now);
+  const agent::RecordColumns records = sim_->records_between(from, now);
 
   bool any_blackhole = false;
   bool any_dropspike = false;
@@ -300,7 +302,7 @@ void HealingLoop::corroborate(SimTime now) {
       Incident& inc = open_incident(IncidentState::kCorroborated, IncidentAction::kReload,
                                     std::move(matched), now);
       inc.sw = cand.tor;
-      inc.sla_before = pair_success_rate(inc, from, now);
+      inc.sla_before = pair_success_rate(inc, records);
       bool executed = sim_->repair().request_reload(
           cand.tor, "heal: black-hole corroborated on " + topo.sw(cand.tor).name, now);
       if (executed) {
@@ -353,7 +355,7 @@ void HealingLoop::corroborate(SimTime now) {
         Incident& inc = open_incident(IncidentState::kCorroborated, IncidentAction::kIsolateRma,
                                       std::move(matched), now);
         inc.sw = report.culprit;
-        inc.sla_before = pair_success_rate(inc, from, now);
+        inc.sla_before = pair_success_rate(inc, records);
         sim_->repair().isolate_and_rma(
             report.culprit,
             "heal: silent drops pinpointed on " + topo.sw(report.culprit).name +
@@ -408,7 +410,8 @@ void HealingLoop::finish_sla(SimTime now) {
   for (Incident& inc : incidents_) {
     if (inc.state != IncidentState::kRecovered || inc.sla_after >= 0.0) continue;
     if (now < inc.recover + config_.sla_post_window) continue;
-    inc.sla_after = pair_success_rate(inc, inc.recover, inc.recover + config_.sla_post_window);
+    inc.sla_after = pair_success_rate(
+        inc, sim_->records_between(inc.recover, inc.recover + config_.sla_post_window));
   }
 }
 

@@ -142,10 +142,14 @@ class HealingLoop {
   [[nodiscard]] bool trigger_absorbed(const std::string& scope, const std::string& rule) const;
   [[nodiscard]] std::optional<std::pair<PodId, PodId>> parse_pair_scope(
       const std::string& scope) const;
-  [[nodiscard]] double pair_success_rate(const Incident& inc, SimTime from, SimTime to) const;
-  [[nodiscard]] bool symptom_current(PodId pod,
-                                     const std::vector<agent::LatencyRecord>& records,
+  /// Success rate of the probes in `records` touching the incident's pods;
+  /// -1 when there are none.
+  [[nodiscard]] double pair_success_rate(const Incident& inc,
+                                         const agent::RecordColumns& records) const;
+  [[nodiscard]] bool symptom_current(PodId pod, const agent::RecordColumns& records,
                                      SimTime now) const;
+  /// Pod of the server owning `ip`; invalid for an unknown address.
+  [[nodiscard]] PodId pod_of(IpAddr ip) const;
   Incident& open_incident(IncidentState state, IncidentAction action,
                           std::vector<PendingTrigger> matched, SimTime now);
   void record_timeline(const Incident& inc);
@@ -153,7 +157,6 @@ class HealingLoop {
   core::PingmeshSimulation* sim_;
   HealConfig config_;
   std::unordered_map<std::string, PodId> pod_by_tor_name_;
-  std::unordered_map<IpAddr, PodId> pod_by_ip_;
   std::size_t alert_hw_ = 0;  ///< high-water mark into db().alerts
   std::size_t repair_hw_ = 0; ///< high-water mark into repair().history()
   std::vector<PendingTrigger> pending_;

@@ -235,18 +235,4 @@ class RollupStore final : public dsa::RecordTap {
   mutable Cell scratch_ PM_GUARDED_BY(mu_);  // query merges
 };
 
-/// Fan a single uploader tap out to several consumers (the sim exposes one
-/// tap slot; bench/tools attach both the streaming pipeline and a
-/// RollupStore through this).
-class RecordTapFanout final : public dsa::RecordTap {
- public:
-  void add(dsa::RecordTap* tap) { taps_.push_back(tap); }
-  void on_records(const agent::RecordColumns& batch, SimTime now) override {
-    for (dsa::RecordTap* t : taps_) t->on_records(batch, now);
-  }
-
- private:
-  std::vector<dsa::RecordTap*> taps_;
-};
-
 }  // namespace pingmesh::serve

@@ -1,6 +1,6 @@
 // StreamingPipeline — the near-real-time analytics path, end to end.
 //
-// Taps LatencyRecord batches at upload time (dsa::RecordTap on the
+// Taps record batches at upload time (dsa::RecordTap on the
 // CosmosUploader: the moment an agent's upload lands, ~20 minutes before
 // the batch SCOPE job would consume the same records), folds them into the
 // sliding-window aggregator, and runs the online detector on a seconds
@@ -33,10 +33,10 @@ class StreamingPipeline final : public dsa::RecordTap {
   /// dsa::RecordTap: a record batch just landed in Cosmos.
   void on_records(const agent::RecordColumns& batch, SimTime now) override {
     for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-      const agent::LatencyRecord r = batch.row(i);
-      windows_.ingest(r);
+      windows_.ingest(batch, i);
       if (tracer_ != nullptr && tracer_->enabled()) {
-        std::uint64_t key = obs::trace_key(r.timestamp, r.src_ip.v, r.dst_ip.v, r.src_port);
+        std::uint64_t key = obs::trace_key(batch.timestamps()[i], batch.src_ips()[i],
+                                           batch.dst_ips()[i], batch.src_ports()[i]);
         if (tracer_->sampled(key)) {
           tracer_->span(key, "streaming.ingest", now, now,
                         "pairs=" + std::to_string(windows_.pair_count()));

@@ -16,9 +16,9 @@ WindowedAggregator::WindowedAggregator(const topo::Topology& topo, Config cfg)
   }
 }
 
-void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
-  auto src = topo_->find_server_by_ip(r.src_ip);
-  auto dst = topo_->find_server_by_ip(r.dst_ip);
+void WindowedAggregator::ingest(const agent::RecordColumns& batch, std::size_t i) {
+  auto src = topo_->find_server_by_ip(batch.src_ip(i));
+  auto dst = topo_->find_server_by_ip(batch.dst_ip(i));
   if (!src || !dst) {
     ++skipped_;
     return;
@@ -33,7 +33,7 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
   }
   PairState& pair = *slot;
 
-  SimTime ts = std::max<SimTime>(r.timestamp, 0);
+  SimTime ts = std::max<SimTime>(batch.timestamp(i), 0);
   SimTime window_start = ts - ts % cfg_.sub_window;
   auto idx = static_cast<std::size_t>((ts / cfg_.sub_window) %
                                       cfg_.sub_window_count);
@@ -57,10 +57,10 @@ void WindowedAggregator::ingest(const agent::LatencyRecord& r) {
   ++ingested_;
   ++pair.lifetime_probes;
   pair.last_probe_ts = std::max(pair.last_probe_ts, ts);
-  if (r.success) pair.last_success_ts = std::max(pair.last_success_ts, ts);
+  if (batch.success(i)) pair.last_success_ts = std::max(pair.last_success_ts, ts);
   // The batch jobs' classification: retransmit artifacts count as drop
   // signatures, never as latency samples.
-  sub.stats.add(r.success, r.rtt);
+  sub.stats.add(batch.success(i), batch.rtt(i));
 }
 
 const WindowedAggregator::PairState* WindowedAggregator::find(PodId src, PodId dst) const {

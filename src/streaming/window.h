@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "agent/counters.h"
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/types.h"
 #include "topology/topology.h"
 
@@ -71,10 +71,10 @@ class WindowedAggregator {
 
   WindowedAggregator(const topo::Topology& topo, Config cfg);
 
-  /// Ingest one record, keyed to the sub-window of r.timestamp. Records
-  /// whose src or dst IP is not a known server are skipped (mirrors the
-  /// batch pod-pair job's filter).
-  void ingest(const agent::LatencyRecord& r);
+  /// Ingest row `i` of `batch`, keyed to the sub-window of its timestamp.
+  /// Records whose src or dst IP is not a known server are skipped (mirrors
+  /// the batch pod-pair job's filter).
+  void ingest(const agent::RecordColumns& batch, std::size_t i);
 
   /// Merged stats over the N live sub-windows as of `now` (the interval
   /// (floor(now/W)+1-N)*W .. (floor(now/W)+1)*W). nullopt for unseen pairs.

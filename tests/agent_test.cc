@@ -25,14 +25,13 @@ class FakeUploader final : public Uploader {
       --fail_count;
       return false;
     }
-    std::vector<LatencyRecord> rows = batch.to_records();
-    uploaded.insert(uploaded.end(), rows.begin(), rows.end());
+    uploaded.append(batch);
     return true;
   }
 
   int attempts = 0;
   int fail_count = 0;
-  std::vector<LatencyRecord> uploaded;
+  RecordColumns uploaded;
 };
 
 controller::Pinglist make_pinglist(int targets, SimTime interval = seconds(30)) {
@@ -500,7 +499,7 @@ TEST(Agent, LocalLogAppendsEachRecordExactlyOnceAcrossRetries) {
   EXPECT_EQ(agent.local_log_dup_avoided(), 10u);
   ASSERT_EQ(logged.size(), up.uploaded.size());
   for (std::size_t i = 0; i < logged.size(); ++i) {
-    EXPECT_EQ(logged[i].timestamp, up.uploaded[i].timestamp) << i;
+    EXPECT_EQ(logged[i].timestamp, up.uploaded.timestamp(i)) << i;
   }
 
   std::filesystem::remove(path);

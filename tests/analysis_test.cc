@@ -4,7 +4,7 @@
 // classification, and the network-issue judgement.
 #include <gtest/gtest.h>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "analysis/blackhole.h"
 #include "analysis/droprate.h"
 #include "analysis/heatmap.h"
@@ -34,9 +34,9 @@ controller::GeneratorConfig fleet_config() {
   return cfg;
 }
 
-/// Drive the fleet and collect LatencyRecords (plus ground-truth drops).
+/// Drive the fleet and collect its records (plus ground-truth drops).
 struct FleetRun {
-  std::vector<LatencyRecord> records;
+  agent::RecordColumns records;
   std::uint64_t ground_truth_probes_with_drops = 0;
   std::uint64_t successful_probes = 0;
 };
@@ -69,14 +69,17 @@ FleetRun run_fleet(const topo::Topology& topo, netsim::SimNetwork& net, int roun
 // ---------------------------------------------------------------------------
 
 TEST(DropRate, HeuristicCountsSignatures) {
-  std::vector<LatencyRecord> records(10);
-  for (auto& r : records) {
-    r.success = true;
-    r.rtt = micros(300);
-  }
-  records[0].rtt = seconds(3) + micros(300);  // one SYN drop
-  records[1].rtt = seconds(9) + micros(300);  // two SYN drops, counted once
-  records[2].success = false;                 // excluded from denominator
+  auto probe = [](bool success, SimTime rtt) {
+    LatencyRecord r;
+    r.success = success;
+    r.rtt = rtt;
+    return r;
+  };
+  agent::RecordColumns records;
+  records.push_back(probe(true, seconds(3) + micros(300)));  // one SYN drop
+  records.push_back(probe(true, seconds(9) + micros(300)));  // two SYN drops, counted once
+  records.push_back(probe(false, micros(300)));              // excluded from denominator
+  for (int i = 3; i < 10; ++i) records.push_back(probe(true, micros(300)));
   agent::ProbeCounts e = estimate_drop_rate(records);
   EXPECT_EQ(e.successes, 9u);
   EXPECT_EQ(e.failures, 1u);
@@ -109,7 +112,7 @@ TEST(DropRate, ValidatedAgainstGroundTruthSingleTor) {
 }
 
 TEST(DropRate, PerPairStats) {
-  std::vector<LatencyRecord> records;
+  agent::RecordColumns records;
   LatencyRecord r;
   r.src_ip = IpAddr(10, 0, 0, 1);
   r.dst_ip = IpAddr(10, 0, 0, 2);
@@ -196,12 +199,12 @@ TEST(LengthDependence, CleanNetworkNotFlagged) {
 }
 
 TEST(LengthDependence, ThinDataNeverFlags) {
-  std::vector<LatencyRecord> few(10);
-  for (auto& r : few) {
-    r.success = true;
-    r.kind = controller::ProbeKind::kTcpPayload;
-    r.payload_success = false;  // 100% loss but only 10 samples
-  }
+  LatencyRecord r;
+  r.success = true;
+  r.kind = controller::ProbeKind::kTcpPayload;
+  r.payload_success = false;  // 100% loss but only 10 samples
+  agent::RecordColumns few;
+  for (int i = 0; i < 10; ++i) few.push_back(r);
   EXPECT_FALSE(detect_length_dependent_loss(few).length_dependent);
 }
 
@@ -280,6 +283,15 @@ struct BlackholeSweepCase {
   int pod_index;
   int rounds;
 };
+
+// Names each case after its parameters ("SrcDstPair_0.04_pod1_6rounds").
+// Without it gtest prints the struct's raw bytes, padding included, so the
+// case names (and the ctest names derived from them) changed from build to
+// build.
+void PrintTo(const BlackholeSweepCase& c, std::ostream* os) {
+  *os << (c.mode == netsim::BlackholeMode::kSrcDstPair ? "SrcDstPair" : "FiveTuple") << '_'
+      << c.fraction << "_pod" << c.pod_index << '_' << c.rounds << "rounds";
+}
 
 class BlackholeSweepTest : public ::testing::TestWithParam<BlackholeSweepCase> {};
 

@@ -63,8 +63,7 @@ TEST(RecordColumns, BytesPerRecordTracksRepresentation) {
   // The admission budget scales the whole fleet's buffer cap; pin the
   // computed value so a field added to LatencyRecord forces a conscious
   // update here and in record_columns.h.
-  EXPECT_EQ(LatencyRecord::kApproxBytes, 44u);
-  EXPECT_EQ(RecordColumns::kBytesPerRecord, LatencyRecord::kApproxBytes);
+  EXPECT_EQ(RecordColumns::kBytesPerRecord, 44u);
 }
 
 TEST(RecordColumns, RowRoundTripPreservesEveryField) {
@@ -274,7 +273,7 @@ TEST(ColumnarParallel, WorkerCountDoesNotChangeTheRecordStream) {
   for (int workers : {1, 4}) {
     core::PingmeshSimulation sim(fleet_config(workers));
     sim.run_for(minutes(10));
-    std::string bytes = agent::encode_batch(sim.records_between(0, sim.now() + 1));
+    std::string bytes = sim.records_between(0, sim.now() + 1).encode_csv();
     EXPECT_EQ(sim.decode_rows_dropped(), 0u);
     if (workers == 1) {
       baseline = bytes;
@@ -296,7 +295,7 @@ TEST(ColumnarParallel, CsvAndColumnarExtentsDecodeIdentically) {
     cfg.columnar_extents = (i == 1);
     core::PingmeshSimulation sim(cfg);
     sim.run_for(minutes(10));
-    streams[i] = agent::encode_batch(sim.records_between(0, sim.now() + 1));
+    streams[i] = sim.records_between(0, sim.now() + 1).encode_csv();
     EXPECT_EQ(sim.decode_rows_dropped(), 0u);
   }
   EXPECT_FALSE(streams[0].empty());

@@ -299,8 +299,9 @@ TEST(Vip, DipsShareLoadByPortHash) {
   sim.register_vip(vip, {pod.servers[0], pod.servers[1], pod.servers[2]});
   sim.run_for(minutes(30));
   std::uint64_t vip_probes = 0;
-  for (const auto& r : sim.records_between(0, sim.now())) {
-    if (r.dst_ip == vip && r.success) ++vip_probes;
+  const agent::RecordColumns records = sim.records_between(0, sim.now());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records.dst_ip(i) == vip && records.success(i)) ++vip_probes;
   }
   EXPECT_GT(vip_probes, 10u);
 }

@@ -9,7 +9,6 @@
 #include "dsa/jobs.h"
 #include "dsa/pa.h"
 #include "dsa/scan_cache.h"
-#include "dsa/scope.h"
 #include "dsa/uploader.h"
 #include "topology/topology.h"
 
@@ -194,10 +193,19 @@ TEST(DecodedExtentCache, CachedScanMatchesUncachedScan) {
 
   DecodedExtentCache cache;
   for (SimTime from : {seconds(0), seconds(5), seconds(12)}) {
-    auto plain = scope::extract_records(s, from, seconds(15));
+    // Reference: decode every extent afresh and keep the rows in the window.
+    agent::RecordColumns plain;
+    s.scan(from, seconds(15), [&](const Extent& e) {
+      const agent::RecordColumns cols = decode_extent(e);
+      for (std::size_t i = 0; i < cols.size(); ++i) {
+        if (cols.timestamp(i) >= from && cols.timestamp(i) < seconds(15)) {
+          plain.push_back(cols.row(i));
+        }
+      }
+    });
     auto cached = scope::extract_records(s, from, seconds(15), cache);
     ASSERT_EQ(plain.size(), cached.size());
-    EXPECT_EQ(agent::encode_batch(plain), agent::encode_batch(cached));
+    EXPECT_EQ(plain.encode_csv(), cached.encode_csv());
   }
 }
 
@@ -255,11 +263,12 @@ TEST(Scope, ExtractFromStream) {
                                 micros(200 + i)));
   }
   s.append(agent::encode_batch(batch), batch.size(), seconds(0), seconds(9), seconds(10));
-  auto data = scope::extract_records(s, seconds(2), seconds(5));
+  DecodedExtentCache cache;
+  auto data = scope::extract_records(s, seconds(2), seconds(5), cache);
   EXPECT_EQ(data.size(), 3u);  // ts 2,3,4
-  for (const auto& r : data) {
-    EXPECT_GE(r.timestamp, seconds(2));
-    EXPECT_LT(r.timestamp, seconds(5));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_GE(data.timestamp(i), seconds(2));
+    EXPECT_LT(data.timestamp(i), seconds(5));
   }
 }
 
@@ -273,6 +282,7 @@ class JobsTest : public ::testing::Test {
     ctx_.topo = &topo_;
     ctx_.services = &services_;
     ctx_.db = &db_;
+    ctx_.scan_cache = &cache_;
   }
 
   void load_records(const std::vector<LatencyRecord>& records) {
@@ -284,6 +294,7 @@ class JobsTest : public ::testing::Test {
   topo::ServiceMap services_;
   Database db_;
   CosmosStore store_;
+  DecodedExtentCache cache_;
   JobContext ctx_;
 };
 

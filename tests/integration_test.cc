@@ -130,12 +130,12 @@ TEST(Integration, VipMonitoringProbesDips) {
   sim.run_for(minutes(20));
 
   // Some records must target the VIP and succeed (delivered to a DIP).
-  auto records = sim.records_between(0, sim.now());
+  const agent::RecordColumns records = sim.records_between(0, sim.now());
   std::uint64_t vip_probes = 0, vip_ok = 0;
-  for (const auto& r : records) {
-    if (r.dst_ip == vip) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records.dst_ip(i) == vip) {
       ++vip_probes;
-      if (r.success) ++vip_ok;
+      if (records.success(i)) ++vip_ok;
     }
   }
   EXPECT_GT(vip_probes, 0u);

@@ -4,6 +4,7 @@
 // observed via metrics.
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,15 @@ std::vector<std::string> deterministic_prefixes() {
   return {"agent.", "controller.", "cosmos.", "dsa.", "slb.", "streaming."};
 }
 
+/// Value of the unlabelled sample `name` in the exposition (0 when absent).
+double sample_value(const MetricsRegistry& reg, const std::string& name) {
+  std::istringstream in(reg.expose({name}));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(name + " ", 0) == 0) return std::stod(line.substr(name.size() + 1));
+  }
+  return 0;
+}
+
 TEST(ObsSim, ExpositionCoversEverySubsystemAndIsWorkerCountInvariant) {
   core::SimulationConfig cfg = core::observability_test_config(/*seed=*/42);
   core::PingmeshSimulation serial(cfg);
@@ -235,6 +245,16 @@ TEST(ObsSim, ExpositionCoversEverySubsystemAndIsWorkerCountInvariant) {
   std::string pool = sharded.observability()->metrics().expose({"threadpool."});
   EXPECT_NE(pool.find("threadpool.workers 4"), std::string::npos) << pool;
   EXPECT_NE(pool.find("threadpool.parallel_for_total "), std::string::npos);
+
+  // The serial run ticks through a pool of 1 on the same path, so it counts
+  // the same parallel_for calls and items, and its busy time is real.
+  const MetricsRegistry& one = serial.observability()->metrics();
+  const MetricsRegistry& four = sharded.observability()->metrics();
+  for (const char* name : {"threadpool.parallel_for_total", "threadpool.items_total"}) {
+    EXPECT_GT(sample_value(one, name), 0) << name;
+    EXPECT_EQ(sample_value(one, name), sample_value(four, name)) << name;
+  }
+  EXPECT_GT(sample_value(one, "threadpool.busy_ns_total"), 0);
 }
 
 TEST(ObsSim, TraceFollowsASampledRecordFromProbeToScan) {

@@ -152,7 +152,7 @@ SimSnapshot run_simulation(int workers) {
   sim.run_for(minutes(20));
   SimSnapshot snap;
   snap.probes = sim.total_probes();
-  snap.records = agent::encode_batch(sim.records_between(0, sim.now() + 1));
+  snap.records = sim.records_between(0, sim.now() + 1).encode_csv();
   snap.sla = sim.db().sla_rows;
   return snap;
 }

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "common/xml.h"
 #include "dsa/cosmos_io.h"
 #include "dsa/scopeql.h"
@@ -138,11 +138,13 @@ TEST(HttpRobustness, ValidCorpusMessagesRoundTrip) {
 
 TEST(ScopeqlRobustness, CorpusRunsOrThrowsQueryErrorWithPosition) {
   pingmesh::dsa::scopeql::Interpreter interp;
-  std::vector<pingmesh::agent::LatencyRecord> records(3);
+  pingmesh::agent::RecordColumns records;
   for (int i = 0; i < 3; ++i) {
-    records[i].timestamp = 1000 * i;
-    records[i].success = true;
-    records[i].rtt = 100'000 + i;
+    pingmesh::agent::LatencyRecord r;
+    r.timestamp = 1000 * i;
+    r.success = true;
+    r.rtt = 100'000 + i;
+    records.push_back(r);
   }
   for (const std::string& path : corpus_files("scopeql")) {
     std::string query = slurp(path);
@@ -157,7 +159,8 @@ TEST(ScopeqlRobustness, CorpusRunsOrThrowsQueryErrorWithPosition) {
 
 TEST(ScopeqlRobustness, IntegerOverflowIsAnErrorNotUb) {
   pingmesh::dsa::scopeql::Interpreter interp;
-  std::vector<pingmesh::agent::LatencyRecord> records(1);
+  pingmesh::agent::RecordColumns records;
+  records.push_back(pingmesh::agent::LatencyRecord{});
   EXPECT_THROW(
       (void)interp.run("SELECT COUNT(*) FROM latency WHERE rtt < "
                        "99999999999999999999999999999",
@@ -174,7 +177,8 @@ TEST(ScopeqlRobustness, IntegerOverflowIsAnErrorNotUb) {
 
 TEST(ScopeqlRobustness, ParenBombThrowsDepthErrorNotStackOverflow) {
   pingmesh::dsa::scopeql::Interpreter interp;
-  std::vector<pingmesh::agent::LatencyRecord> records(1);
+  pingmesh::agent::RecordColumns records;
+  records.push_back(pingmesh::agent::LatencyRecord{});
   std::string query = "SELECT COUNT(*) FROM latency WHERE ";
   for (int i = 0; i < 5000; ++i) query += '(';
   query += '1';

@@ -26,15 +26,15 @@ LatencyRecord rec(IpAddr src, IpAddr dst, SimTime rtt, bool success = true) {
   return r;
 }
 
-std::vector<LatencyRecord> tiny_data() {
+agent::RecordColumns tiny_data() {
   IpAddr a(10, 0, 0, 1), b(10, 0, 0, 2), c(10, 0, 0, 3);
-  return {
-      rec(a, b, micros(200)),
-      rec(a, b, micros(300)),
-      rec(a, c, micros(400)),
-      rec(b, c, micros(500), /*success=*/false),
-      rec(b, a, seconds(3) + micros(250)),  // one SYN-drop signature
-  };
+  agent::RecordColumns data;
+  data.push_back(rec(a, b, micros(200)));
+  data.push_back(rec(a, b, micros(300)));
+  data.push_back(rec(a, c, micros(400)));
+  data.push_back(rec(b, c, micros(500), /*success=*/false));
+  data.push_back(rec(b, a, seconds(3) + micros(250)));  // one SYN-drop signature
+  return data;
 }
 
 TEST(ScopeQl, SelectWhereProjection) {
@@ -92,7 +92,7 @@ TEST(ScopeQl, DropRateAggregate) {
 }
 
 TEST(ScopeQl, PercentileAggregates) {
-  std::vector<LatencyRecord> data;
+  agent::RecordColumns data;
   for (int i = 1; i <= 1000; ++i) {
     data.push_back(rec(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 2), micros(i)));
   }
@@ -106,7 +106,7 @@ TEST(ScopeQl, PercentileAggregates) {
 
 TEST(ScopeQl, GroupByWithTopologyFunctions) {
   topo::Topology topo = small_dc();
-  std::vector<LatencyRecord> data;
+  agent::RecordColumns data;
   const topo::Pod& pod0 = topo.pods()[0];
   const topo::Pod& pod1 = topo.pods()[1];
   for (int i = 0; i < 10; ++i) {
@@ -136,8 +136,8 @@ TEST(ScopeQl, TopologyFunctionWithoutTopologyThrows) {
 TEST(ScopeQl, UnknownIpYieldsMinusOneGroup) {
   topo::Topology topo = small_dc();
   Interpreter ql(&topo);
-  std::vector<LatencyRecord> foreign = {
-      rec(IpAddr(192, 168, 1, 1), IpAddr(192, 168, 1, 2), micros(200))};
+  agent::RecordColumns foreign;
+  foreign.push_back(rec(IpAddr(192, 168, 1, 1), IpAddr(192, 168, 1, 2), micros(200)));
   auto result = ql.run(
       "SELECT dc(src_ip), COUNT(*) FROM latency GROUP BY dc(src_ip)", foreign);
   ASSERT_EQ(result.rows.size(), 1u);

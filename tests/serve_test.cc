@@ -368,10 +368,7 @@ TEST(RollupDeterminism, DigestIdenticalAcrossWorkerCounts) {
     cfg.worker_threads = workers[i];
     core::PingmeshSimulation sim(cfg);
     serve::RollupStore store(sim.topology(), nullptr, sim_rollup_config());
-    serve::RecordTapFanout fanout;
-    if (sim.streaming() != nullptr) fanout.add(sim.streaming());
-    fanout.add(&store);
-    sim.uploader_for_test().set_tap(&fanout);
+    sim.add_record_tap(&store);
     sim.run_for(minutes(6));
     EXPECT_GT(store.placed(), 0u) << "workers=" << workers[i];
     EXPECT_TRUE(store.check_conservation()) << "workers=" << workers[i];

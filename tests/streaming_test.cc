@@ -28,6 +28,13 @@ using streaming::OnlineDetector;
 using streaming::WindowedAggregator;
 using streaming::WindowStats;
 
+/// Ingest `r` into `agg` as a one-row batch.
+void ingest(WindowedAggregator& agg, const agent::LatencyRecord& r) {
+  agent::RecordColumns batch;
+  batch.push_back(r);
+  agg.ingest(batch, 0);
+}
+
 // --- WindowedAggregator ------------------------------------------------------
 
 class WindowTest : public ::testing::Test {
@@ -57,11 +64,11 @@ class WindowTest : public ::testing::Test {
 
 TEST_F(WindowTest, IngestClassifiesLikeBatch) {
   // 4 clean, 2 one-SYN-drop (3s), 1 two-SYN-drop (9s), 3 failures.
-  for (int i = 0; i < 4; ++i) agg_.ingest(rec(0, 1, seconds(1) + i, true, micros(200 + i)));
-  agg_.ingest(rec(0, 1, seconds(2), true, seconds(3)));
-  agg_.ingest(rec(0, 1, seconds(3), true, seconds(3) + millis(30)));
-  agg_.ingest(rec(0, 1, seconds(4), true, seconds(9)));
-  for (int i = 0; i < 3; ++i) agg_.ingest(rec(0, 1, seconds(5) + i, false, 0));
+  for (int i = 0; i < 4; ++i) ingest(agg_, rec(0, 1, seconds(1) + i, true, micros(200 + i)));
+  ingest(agg_, rec(0, 1, seconds(2), true, seconds(3)));
+  ingest(agg_, rec(0, 1, seconds(3), true, seconds(3) + millis(30)));
+  ingest(agg_, rec(0, 1, seconds(4), true, seconds(9)));
+  for (int i = 0; i < 3; ++i) ingest(agg_, rec(0, 1, seconds(5) + i, false, 0));
 
   auto s = agg_.query(PodId{0}, PodId{1}, seconds(9));
   ASSERT_TRUE(s.has_value());
@@ -79,7 +86,7 @@ TEST_F(WindowTest, IngestClassifiesLikeBatch) {
 }
 
 TEST_F(WindowTest, RecordAtExactBoundaryLandsInNewWindow) {
-  agg_.ingest(rec(0, 0, seconds(10), true, micros(150)));
+  ingest(agg_, rec(0, 0, seconds(10), true, micros(150)));
   auto lo = agg_.query_range(PodId{0}, PodId{0}, seconds(0), seconds(10));
   auto hi = agg_.query_range(PodId{0}, PodId{0}, seconds(10), seconds(20));
   ASSERT_TRUE(lo.has_value());
@@ -89,7 +96,7 @@ TEST_F(WindowTest, RecordAtExactBoundaryLandsInNewWindow) {
 }
 
 TEST_F(WindowTest, ExpiryAtExactHorizonBoundary) {
-  agg_.ingest(rec(0, 0, seconds(5), true, micros(150)));
+  ingest(agg_, rec(0, 0, seconds(5), true, micros(150)));
   // now=29: live horizon covers [0,10)..[20,30) -> included.
   auto s = agg_.query(PodId{0}, PodId{0}, seconds(29));
   ASSERT_TRUE(s.has_value());
@@ -107,9 +114,9 @@ TEST_F(WindowTest, ExpiryAtExactHorizonBoundary) {
 }
 
 TEST_F(WindowTest, LateRecordPastHorizonIsDroppedNotMisfiled) {
-  agg_.ingest(rec(0, 0, seconds(65), true, micros(150)));  // slot 0 -> [60,70)
+  ingest(agg_, rec(0, 0, seconds(65), true, micros(150)));  // slot 0 -> [60,70)
   EXPECT_EQ(agg_.late_dropped(), 0u);
-  agg_.ingest(rec(0, 0, seconds(5), true, micros(150)));  // slot 0 already at 60
+  ingest(agg_, rec(0, 0, seconds(5), true, micros(150)));  // slot 0 already at 60
   EXPECT_EQ(agg_.late_dropped(), 1u);
   auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(60), seconds(70));
   ASSERT_TRUE(s.has_value());
@@ -118,8 +125,8 @@ TEST_F(WindowTest, LateRecordPastHorizonIsDroppedNotMisfiled) {
 }
 
 TEST_F(WindowTest, LateRecordWithinHorizonLandsInItsWindow) {
-  agg_.ingest(rec(0, 0, seconds(65), true, micros(150)));
-  agg_.ingest(rec(0, 0, seconds(45), true, micros(150)));  // late but retained slot
+  ingest(agg_, rec(0, 0, seconds(65), true, micros(150)));
+  ingest(agg_, rec(0, 0, seconds(45), true, micros(150)));  // late but retained slot
   EXPECT_EQ(agg_.late_dropped(), 0u);
   auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(40), seconds(50));
   ASSERT_TRUE(s.has_value());
@@ -129,14 +136,14 @@ TEST_F(WindowTest, LateRecordWithinHorizonLandsInItsWindow) {
 TEST_F(WindowTest, UnknownIpsAreSkippedLikeBatchFilter) {
   agent::LatencyRecord r = rec(0, 1, seconds(1), true, micros(200));
   r.dst_ip = IpAddr{0xdeadbeef};
-  agg_.ingest(r);
+  ingest(agg_, r);
   EXPECT_EQ(agg_.records_skipped(), 1u);
   EXPECT_EQ(agg_.records_ingested(), 0u);
   EXPECT_EQ(agg_.pair_count(), 0u);
 }
 
 TEST_F(WindowTest, QueryRangeRoundsOutwardToSubWindowBoundaries) {
-  agg_.ingest(rec(0, 0, seconds(12), true, micros(150)));
+  ingest(agg_, rec(0, 0, seconds(12), true, micros(150)));
   auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(11), seconds(13));
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->window_start, seconds(10));
@@ -145,13 +152,13 @@ TEST_F(WindowTest, QueryRangeRoundsOutwardToSubWindowBoundaries) {
 }
 
 TEST_F(WindowTest, SteadyStateIngestKeepsMemoryFlat) {
-  for (int w = 0; w < 3; ++w) agg_.ingest(rec(0, 1, seconds(10 * w), true, micros(200)));
+  for (int w = 0; w < 3; ++w) ingest(agg_, rec(0, 1, seconds(10 * w), true, micros(200)));
   std::size_t warm = agg_.memory_bytes();
   // Hundreds more records across many ring wraps for the same pair: the
   // allocation-free contract means footprint must not move at all.
   for (int w = 3; w < 200; ++w) {
     for (int i = 0; i < 5; ++i) {
-      agg_.ingest(rec(0, 1, seconds(10 * w) + i, true, micros(200 + i), i));
+      ingest(agg_, rec(0, 1, seconds(10 * w) + i, true, micros(200 + i), i));
     }
   }
   EXPECT_EQ(agg_.memory_bytes(), warm);
@@ -186,16 +193,16 @@ class DetectorTest : public ::testing::Test {
     for (int i = 0; i < 12; ++i) {
       SimTime ts = seconds(10 * w) + i * millis(700);
       switch (mode) {
-        case 'c': agg_.ingest(rec(src, dst, ts, true, micros(200) + i, i)); break;
+        case 'c': ingest(agg_, rec(src, dst, ts, true, micros(200) + i, i)); break;
         case 'b':
-          agg_.ingest(i < 4 ? rec(src, dst, ts, true, seconds(3), i)
-                            : rec(src, dst, ts, true, micros(200) + i, i));
+          ingest(agg_, i < 4 ? rec(src, dst, ts, true, seconds(3), i)
+                                  : rec(src, dst, ts, true, micros(200) + i, i));
           break;
-        case 'f': agg_.ingest(rec(src, dst, ts, false, 0, i)); break;
-        case 's': agg_.ingest(rec(src, dst, ts, true, millis(5) + i, i)); break;
+        case 'f': ingest(agg_, rec(src, dst, ts, false, 0, i)); break;
+        case 's': ingest(agg_, rec(src, dst, ts, true, millis(5) + i, i)); break;
         case 'p':
-          agg_.ingest(i < 4 ? rec(src, dst, ts, false, 0, i)
-                            : rec(src, dst, ts, true, micros(200) + i, i));
+          ingest(agg_, i < 4 ? rec(src, dst, ts, false, 0, i)
+                                  : rec(src, dst, ts, true, micros(200) + i, i));
           break;
         default: FAIL() << "bad mode";
       }
@@ -332,7 +339,7 @@ TEST_F(DetectorTest, LatencyBoostAgainstFrozenBaseline) {
 
 TEST_F(DetectorTest, MinProbesGateSuppressesThinPairs) {
   for (int i = 0; i < 3; ++i) {
-    agg_.ingest(rec(2, 3, seconds(1) + i, false, 0, static_cast<std::size_t>(i)));
+    ingest(agg_, rec(2, 3, seconds(1) + i, false, 0, static_cast<std::size_t>(i)));
   }
   det_.evaluate(agg_, seconds(10));
   det_.evaluate(agg_, seconds(20));

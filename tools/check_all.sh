@@ -11,8 +11,10 @@
 #                    tests and the `shape`-labelled figure benches), then an
 #                    observability smoke (pingmeshctl metrics/trace must
 #                    show the wired subsystems; DESIGN.md §10), a chaos
-#                    replay smoke, and the self-healing soak smoke
+#                    replay smoke, the self-healing soak smoke
 #                    (pingmeshctl soak on the fixed CI seed; DESIGN.md §14)
+#                    and perfbench's smoke test (every BENCHMARK.json
+#                    workload at a tiny size, output checks included)
 #   3. asan        — tools/asan_check.sh (ASan+UBSan, full suite), then the
 #                    chaos smoke on the sanitized build: replay a scripted
 #                    plan from the corpus, and one random-plan hunt round
@@ -86,6 +88,13 @@ banner "stage 2c: chaos replay smoke"
 banner "stage 2d: self-healing soak smoke"
 ./build/tools/pingmeshctl soak --seed 7 --episodes 4 --minutes 30 >/dev/null 2>&1 \
   || { echo "self-healing soak gate failed (rerun: pingmeshctl soak --seed 7)"; exit 1; }
+
+# --- 2e. perfbench smoke -----------------------------------------------------
+# perfbench builds src/ through its own CMakeLists into .bench_build/ and
+# runs every workload at a tiny size, untraced and traced: a src/ change
+# that breaks the benchmark's build or a workload's output checks fails here.
+banner "stage 2e: perfbench smoke"
+python3 perfbench/smoke_test.py
 
 if [[ "$FAST" == "1" ]]; then
   banner "--fast: skipping sanitizers, fuzz smoke, clang-tidy"

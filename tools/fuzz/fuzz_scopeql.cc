@@ -6,15 +6,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "agent/record.h"
+#include "agent/record_columns.h"
 #include "dsa/scopeql.h"
 
 namespace {
 
-std::vector<pingmesh::agent::LatencyRecord> fixed_records() {
-  std::vector<pingmesh::agent::LatencyRecord> out;
+pingmesh::agent::RecordColumns fixed_records() {
+  pingmesh::agent::RecordColumns out;
   for (int i = 0; i < 4; ++i) {
     pingmesh::agent::LatencyRecord r;
     r.timestamp = 1'000'000LL * i;
@@ -32,7 +31,7 @@ std::vector<pingmesh::agent::LatencyRecord> fixed_records() {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  static const std::vector<pingmesh::agent::LatencyRecord> kRecords = fixed_records();
+  static const pingmesh::agent::RecordColumns kRecords = fixed_records();
   static const pingmesh::dsa::scopeql::Interpreter kInterp;  // no topology attached
   std::string_view query(reinterpret_cast<const char*>(data), size);
   try {

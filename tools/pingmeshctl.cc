@@ -68,7 +68,7 @@
 #include "core/simulation.h"
 #include "dsa/cosmos_io.h"
 #include "dsa/report.h"
-#include "dsa/scope.h"
+#include "dsa/scan_cache.h"
 #include "dsa/scopeql.h"
 #include "heal/soak.h"
 #include "netsim/simnet.h"
@@ -198,7 +198,8 @@ int cmd_report(const Args& args) {
   SimTime last = 0;
   for (const auto& e : stream->extents()) last = std::max(last, e.last_ts);
   dsa::Database db;
-  dsa::JobContext ctx{&topo, nullptr, &db};
+  dsa::DecodedExtentCache cache;
+  dsa::JobContext ctx{&topo, nullptr, &db, &cache};
   dsa::run_sla_job(*stream, ctx, 0, last + 1, /*include_server_rows=*/false);
   dsa::run_pod_pair_job(*stream, ctx, 0, last + 1);
   std::fputs(dsa::render_network_report(db, topo, nullptr).c_str(), stdout);
@@ -231,7 +232,7 @@ int cmd_heatmap(const Args& args) {
   gcfg.enable_inter_dc = false;
   controller::PinglistGenerator gen(topo, gcfg);
   core::FleetProbeDriver driver(topo, net, gen);
-  std::vector<agent::LatencyRecord> records;
+  agent::RecordColumns records;
   driver.run_dense(0, 60, seconds(10), [&](const core::FleetProbe& p) {
     agent::LatencyRecord r;
     r.timestamp = p.time;
@@ -243,9 +244,10 @@ int cmd_heatmap(const Args& args) {
   });
   dsa::CosmosStore store;
   dsa::CosmosStream& stream = store.stream(dsa::kLatencyStream);
-  stream.append(agent::encode_batch(records), records.size(), 0, minutes(10), minutes(10));
+  stream.append(records.encode_csv(), records.size(), 0, minutes(10), minutes(10));
   dsa::Database db;
-  dsa::JobContext ctx{&topo, nullptr, &db};
+  dsa::DecodedExtentCache cache;
+  dsa::JobContext ctx{&topo, nullptr, &db, &cache};
   dsa::run_pod_pair_job(stream, ctx, 0, minutes(10));
 
   analysis::Heatmap map(topo, DcId{0});
@@ -335,10 +337,7 @@ int cmd_query_serve(const Args& args, const std::string& endpoint) {
   rcfg.tier_width[1] = minutes(10);
   rcfg.tier_width[2] = hours(1);
   serve::RollupStore store(topo, &sim.services(), rcfg);
-  serve::RecordTapFanout fanout;
-  if (sim.streaming() != nullptr) fanout.add(sim.streaming());
-  fanout.add(&store);
-  sim.uploader_for_test().set_tap(&fanout);
+  sim.add_record_tap(&store);
 
   long sim_mins = args.flag_int("sim-minutes", 10);
   std::fprintf(stderr, "simulating %ld minute(s) of %zu servers...\n", sim_mins,
@@ -389,7 +388,8 @@ int cmd_query(const Args& args) {
   }
   SimTime last = 0;
   for (const auto& e : stream->extents()) last = std::max(last, e.last_ts);
-  auto records = dsa::scope::extract_records(*stream, 0, last + 1);
+  dsa::DecodedExtentCache cache;
+  const agent::RecordColumns records = dsa::scope::extract_records(*stream, 0, last + 1, cache);
 
   topo::Topology topo = build_topology(args);
   dsa::scopeql::Interpreter ql(&topo);
@@ -415,16 +415,13 @@ int cmd_metrics(const Args& args) {
   // and move (rollups from the uploader tap, a few QueryService calls).
   bool with_serve = args.flags.count("serve") != 0;
   std::unique_ptr<serve::RollupStore> store;
-  serve::RecordTapFanout fanout;
   if (with_serve) {
     serve::RollupConfig rcfg;
     rcfg.tier_width[0] = minutes(1);
     rcfg.tier_width[1] = minutes(10);
     rcfg.tier_width[2] = hours(1);
     store = std::make_unique<serve::RollupStore>(sim.topology(), &sim.services(), rcfg);
-    if (sim.streaming() != nullptr) fanout.add(sim.streaming());
-    fanout.add(store.get());
-    sim.uploader_for_test().set_tap(&fanout);
+    sim.add_record_tap(store.get());
   }
 
   std::fprintf(stderr, "simulating %ld minute(s) of %zu servers (workers=%d)...\n",
