@@ -11,9 +11,14 @@
 //  C. Alert threshold sensitivity (§4.3: drop rate > 1e-3, P99 > 5 ms) —
 //     false positives on a healthy fleet vs detection of a real incident
 //     across candidate thresholds.
+//
+// Exits 1 when one of the shape checks at the end fails.
 #include <cstdio>
+#include <map>
 #include <set>
+#include <string>
 
+#include "agent/counters.h"
 #include "analysis/blackhole.h"
 #include "bench_util.h"
 #include "common/rng.h"
@@ -34,7 +39,13 @@ controller::GeneratorConfig fleet_cfg() {
 
 // --- Ablation A ------------------------------------------------------------
 
-void ablation_participation() {
+struct ParticipationResult {
+  int full_hits = 0;     ///< seeded ToRs found with every server probing
+  int sampled_hits = 0;  ///< ... with 1 in 64 probing
+};
+
+ParticipationResult ablation_participation() {
+  ParticipationResult result;
   bench::heading("A. full participation vs sampled probers (black-hole recall)");
   std::printf("  %-22s %10s %12s\n", "probers", "recall", "black pairs seen");
   for (int sample : {1, 4, 16, 64}) {
@@ -59,24 +70,34 @@ void ablation_participation() {
       records.push_back(bench::to_record(topo, p));
     });
 
-    analysis::BlackholeReport report = analysis::BlackholeDetector().detect(records, topo);
+    analysis::BlackholeReport report = analysis::detect_blackholes(records, topo);
     int hits = 0;
     std::uint64_t black_seen = 0;
     for (const auto& s : report.all_scores) black_seen += s.pairs_black;
     for (const auto& c : report.candidates) {
       if (seeded.contains(c.tor.value)) ++hits;
     }
+    if (sample == 1) result.full_hits = hits;
+    if (sample == 64) result.sampled_hits = hits;
     char label[64];
     std::snprintf(label, sizeof(label), "1 in %d servers", sample);
     std::printf("  %-22s %7d/6 %12lu\n", label, hits,
                 static_cast<unsigned long>(black_seen));
   }
   bench::note("paper's position: let all servers participate — recall collapses with sampling");
+  return result;
 }
 
 // --- Ablation B ------------------------------------------------------------
 
-void ablation_source_ports() {
+struct SourcePortResult {
+  std::size_t fresh_spines = 0;
+  std::size_t fixed_spines = 0;
+  int fresh_detected = 0;  ///< pairs with repeated failures, fresh ports
+  int fixed_detected = 0;  ///< ... fixed port
+};
+
+SourcePortResult ablation_source_ports() {
   bench::heading("B. fresh source port per probe vs fixed port");
   topo::Topology topo = topo::Topology::build({topo::medium_dc_spec("DC1", "US West")});
   netsim::SimNetwork net(topo, 950);
@@ -138,11 +159,17 @@ void ablation_source_ports() {
   std::printf("  five-tuple black-hole: pairs with repeated failures — fresh ports %d/%d, fixed port %d/%d\n",
               fresh_detected, fresh_total, fixed_detected, fixed_total);
   bench::note("fixed ports freeze each pair onto one path: either always dead or always blind");
+  return {fresh_spines.size(), fixed_spines.size(), fresh_detected, fixed_detected};
 }
 
 // --- Ablation C ------------------------------------------------------------
 
-void ablation_thresholds() {
+struct ThresholdResult {
+  double healthy = 0.0;   ///< measured drop rate, healthy fleet
+  double incident = 0.0;  ///< ... during a spine silent-drop incident
+};
+
+ThresholdResult ablation_thresholds() {
   bench::heading("C. SLA alert threshold sensitivity (drop-rate rule)");
   topo::Topology topo = topo::Topology::build({topo::medium_dc_spec("DC1", "US West")});
   controller::PinglistGenerator gen(topo, fleet_cfg());
@@ -176,6 +203,7 @@ void ablation_thresholds() {
                 fp ? "yes (FP)" : "no", tp ? "yes" : "no (FN)", verdict);
   }
   bench::note("the paper's 1e-3 sits between normal-band noise and real incidents");
+  return {healthy, incident};
 }
 
 }  // namespace
@@ -183,8 +211,21 @@ void ablation_thresholds() {
 int main(int argc, char** argv) {
   pingmesh::bench::parse_args(argc, argv);
   bench::heading("Ablations of Pingmesh design choices");
-  ablation_participation();
-  ablation_source_ports();
-  ablation_thresholds();
-  return 0;
+  const ParticipationResult a = ablation_participation();
+  const SourcePortResult b = ablation_source_ports();
+  const ThresholdResult c = ablation_thresholds();
+
+  bench::heading("shape checks");
+  const bool full_finds_all = a.full_hits == 6 && a.sampled_hits < a.full_hits;
+  const bool fresh_ports_cover = b.fresh_spines == 8 && b.fixed_spines == 1 &&
+                                 b.fresh_detected > b.fixed_detected;
+  const bool bar_separates =
+      c.healthy < agent::kAlertDropRate && agent::kAlertDropRate < c.incident;
+  bench::note(std::string("A: full participation finds all 6 ToRs, 1 in 64 fewer: ") +
+              (full_finds_all ? "yes" : "NO"));
+  bench::note(std::string("B: fresh ports cover 8/8 spines and more failing pairs: ") +
+              (fresh_ports_cover ? "yes" : "NO"));
+  bench::note(std::string("C: the 1e-3 alert bar sits between healthy and incident: ") +
+              (bar_separates ? "yes" : "NO"));
+  return (full_finds_all && fresh_ports_cover && bar_separates) ? 0 : 1;
 }

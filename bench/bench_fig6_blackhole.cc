@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   gcfg.enable_inter_dc = false;
   gcfg.payload_every_kth = 0;
   controller::PinglistGenerator gen(topo, gcfg);
-  analysis::BlackholeDetector detector;
 
   const int kDays = 18;
   std::printf("\n  %-5s %10s %10s %12s %12s\n", "day", "detected", "reloaded",
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
     driver.run_dense(day_start, 6, seconds(10),
                      [&](const core::FleetProbe& p) { records.push_back(bench::to_record(topo, p)); });
 
-    analysis::BlackholeReport report = detector.detect(records, topo);
+    analysis::BlackholeReport report = analysis::detect_blackholes(records, topo);
     int reloaded = 0;
     for (const analysis::TorScore& candidate : report.candidates) {
       if (repair.request_reload(candidate.tor, "pingmesh black-hole score", day_start)) {

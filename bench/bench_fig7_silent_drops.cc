@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   gcfg.enable_inter_dc = false;
   gcfg.payload_every_kth = 0;
   controller::PinglistGenerator gen(topo, gcfg);
-  analysis::SilentDropLocalizer localizer;
 
   const int kHours = 30;
   std::printf("\n  %-5s %12s  %s\n", "hour", "drop rate", "event");
@@ -64,10 +63,10 @@ int main(int argc, char** argv) {
     agent::ProbeCounts est = analysis::estimate_drop_rate(records);
     std::string event;
     if (!isolated) {
-      auto affected = localizer.detect_affected_dc(records, topo);
+      auto affected = analysis::detect_affected_dc(records, topo);
       if (affected) {
         analysis::SilentDropReport report =
-            localizer.localize(records, topo, net, window_start + minutes(30));
+            analysis::localize_silent_drops(records, topo, net, window_start + minutes(30));
         event = "INCIDENT dc=" + topo.dc(report.affected_dc).name +
                 " tier=" + analysis::suspect_tier_name(report.tier);
         if (report.culprit.valid()) {

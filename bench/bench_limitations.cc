@@ -129,8 +129,7 @@ int main(int argc, char** argv) {
   driver.run_dense(0, 25, seconds(10), [&](const core::FleetProbe& p) {
     records.push_back(bench::to_record(topo, p));
   });
-  analysis::SilentDropLocalizer localizer;
-  auto report = localizer.localize(records, topo, net, 0);
+  auto report = analysis::localize_silent_drops(records, topo, net, 0);
   std::size_t tier_candidates = topo.dcs()[0].spines.size();
   std::printf("  passive Pingmesh data narrows to: tier=%s (%zu candidate switches)\n",
               analysis::suspect_tier_name(report.tier), tier_candidates);

@@ -206,9 +206,8 @@ void BM_BlackholeDetect(benchmark::State& state) {
     r.rtt = p.outcome.rtt;
     records.push_back(r);
   });
-  analysis::BlackholeDetector detector;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.detect(records, topo).candidates.size());
+    benchmark::DoNotOptimize(analysis::detect_blackholes(records, topo).candidates.size());
   }
   state.counters["records"] = static_cast<double>(records.size());
 }

@@ -51,8 +51,7 @@ int main() {
   // Detect from the records alone — no switch counters, no ground truth
   // (§6: "simply using switch SNMP and syslog data does not work since they
   // do not tell us about packet black-holes").
-  analysis::BlackholeDetector detector;
-  analysis::BlackholeReport report = detector.detect(records, topo);
+  analysis::BlackholeReport report = analysis::detect_blackholes(records, topo);
 
   std::printf("detection report:\n");
   for (const analysis::TorScore& candidate : report.candidates) {

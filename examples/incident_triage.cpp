@@ -74,13 +74,12 @@ int main() {
   // 3a. Is it the network?
   agent::ProbeCounts est = analysis::estimate_drop_rate(incident);
   std::printf("\n'network problem?' -> %s (drop rate %s vs 1e-3 threshold)\n",
-              est.drop_rate() > 1e-3 ? "YES, the network is guilty" : "no",
+              est.drop_rate() > agent::kAlertDropRate ? "YES, the network is guilty" : "no",
               format_rate(est.drop_rate()).c_str());
 
   // 3b. Which tier? Which switch?
-  analysis::SilentDropLocalizer localizer;
   analysis::SilentDropReport report =
-      localizer.localize(incident, topo, net, hours(1) + minutes(30));
+      analysis::localize_silent_drops(incident, topo, net, hours(1) + minutes(30));
   std::printf("localizer: dc=%s tier=%s  (intra-podset %s vs cross-podset %s)\n",
               topo.dc(report.affected_dc).name.c_str(),
               analysis::suspect_tier_name(report.tier),

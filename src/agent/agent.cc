@@ -13,7 +13,7 @@ PingmeshAgent::PingmeshAgent(std::string server_name, IpAddr server_ip,
       ip_(server_ip),
       config_(std::move(config)),
       uploader_(&uploader),
-      local_log_(config_.local_log_path, config_.local_log_max_bytes),
+      local_log_(config_.local_log_path, kLocalLogMaxBytes),
       counters_(0) {}
 
 std::uint16_t PingmeshAgent::next_src_port() {

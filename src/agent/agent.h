@@ -73,13 +73,15 @@ struct AgentConfig {
   std::size_t max_buffered_records = 100'000;
   int controller_failure_threshold = 3;      ///< fail-closed after N fetch failures
   std::string local_log_path;                ///< empty = local log disabled
-  std::size_t local_log_max_bytes = 16 * 1024 * 1024;
 };
 
 /// Hard-coded safety limits (paper: "These limits are hard coded in the
-/// source code", bounding Pingmesh's worst-case traffic).
-constexpr SimTime kHardMinProbeInterval = seconds(10);
+/// source code", bounding Pingmesh's worst-case traffic). The probe floor is
+/// the one the controller's generator applies too.
+using controller::kHardMinProbeInterval;
 constexpr std::uint32_t kHardMaxPayloadBytes = 64 * 1024;
+/// Size at which the local log rotates.
+constexpr std::size_t kLocalLogMaxBytes = 16 * 1024 * 1024;
 
 class PingmeshAgent {
  public:

@@ -14,6 +14,18 @@
 
 namespace pingmesh::agent {
 
+// Thresholds on this reading that more than one detector applies.
+
+/// §4.3: "If the packet drop rate is greater than 1e-3 ... fire alerts".
+/// AlertThresholds' default, the drop-spike rule and the silent-drop bar.
+inline constexpr double kAlertDropRate = 1e-3;
+/// Fewest 3 s / 9 s signatures behind a PA or drop-spike alert: one alone
+/// breaches kAlertDropRate in a window of a few hundred probes.
+inline constexpr std::uint64_t kMinDropSignatures = 3;
+/// Connect-failure fraction that makes a server pair "black" (§5.1): the
+/// black-hole localizer's per-pair bar and the streaming fail-rate rule.
+inline constexpr double kBlackPairFailureRate = 0.15;
+
 /// SYN-drop signature of a successful probe's connect RTT (paper §4.2):
 /// an RTT around 3 s means the first SYN was lost (initial RTO), around
 /// 9 s means two SYNs were lost (3 s + doubled 6 s). Returns 0, 1, or 2.

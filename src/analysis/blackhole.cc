@@ -6,26 +6,32 @@
 
 namespace pingmesh::analysis {
 
-BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
-                                          const topo::Topology& topo) const {
+constexpr std::uint64_t kMinProbesPerPair = 3;  ///< pairs with fewer probes are ignored
+constexpr std::uint64_t kMinFailures = 2;       ///< failed probes making a pair "black"
+constexpr std::uint64_t kMinBlackPairs = 3;     ///< greedy-cover noise floor per ToR
+constexpr double kPodsetEscalationFraction = 0.99;  ///< all ToRs affected -> Leaf/Spine
+constexpr SimTime kLivenessMaxGap = seconds(45);    ///< Liveness::kReporting's widest gap
+
+BlackholeReport detect_blackholes(const agent::RecordColumns& window,
+                                  const topo::Topology& topo, Liveness liveness) {
   // 1. Per-pair failure statistics.
   auto pairs = per_pair_stats(window);
 
   // 2. Responsive servers: had at least one successful probe as source or
   //    destination. Pairs involving unresponsive servers are dead-server
   //    symptoms (e.g. podset power-down), not black-holes. Under
-  //    reporting_liveness, "responsive" instead means the server uploaded
+  //    Liveness::kReporting, "responsive" instead means the server uploaded
   //    records at all (uploads ride the management plane, so a pod that
   //    keeps reporting pure failures is alive behind a black-holing ToR;
   //    a crashed server reports nothing and stays excluded).
   std::unordered_set<std::uint32_t> responsive;
-  if (config_.reporting_liveness) {
+  if (liveness == Liveness::kReporting) {
     // "Reported" must mean *continuously*: a lookback window that spans a
     // server crash (or the recovery from one) still holds the victim's
     // uploads from its healthy stretch, and counting its failed pairs would
     // blame the ToR for a dead host. Alive iff the server's records-as-
     // source cover the window with no gap — edges included — wider than
-    // liveness_max_gap; failures around an upload gap are unattributable.
+    // kLivenessMaxGap; failures around an upload gap are unattributable.
     std::unordered_map<std::uint32_t, std::vector<SimTime>> seen;
     SimTime window_min = 0;
     SimTime window_max = 0;
@@ -41,7 +47,7 @@ BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
       for (std::size_t i = 1; i < times.size(); ++i) {
         max_gap = std::max(max_gap, times[i] - times[i - 1]);
       }
-      if (max_gap <= config_.liveness_max_gap) responsive.insert(server);
+      if (max_gap <= kLivenessMaxGap) responsive.insert(server);
     }
   } else {
     for (const auto& [key, stats] : pairs) {
@@ -60,7 +66,7 @@ BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
   std::vector<BlackPair> black;
   std::unordered_map<std::uint32_t, std::uint64_t> total_per_tor;
   for (const auto& [key, stats] : pairs) {
-    if (stats.probes < config_.min_probes_per_pair) continue;
+    if (stats.probes < kMinProbesPerPair) continue;
     auto src = topo.find_server_by_ip(key.src);
     auto dst = topo.find_server_by_ip(key.dst);
     if (!src || !dst) continue;
@@ -69,8 +75,8 @@ BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
     const topo::Server& d = topo.server(*dst);
     ++total_per_tor[s.tor.value];
     if (d.tor != s.tor) ++total_per_tor[d.tor.value];
-    if (stats.failures >= config_.min_failures &&
-        stats.failure_rate() >= config_.pair_failure_threshold) {
+    if (stats.failures >= kMinFailures &&
+        stats.failure_rate() >= agent::kBlackPairFailureRate) {
       black.push_back(BlackPair{s.tor.value, d.tor.value, false});
     }
   }
@@ -117,7 +123,7 @@ BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
         best_cover = cover;
       }
     }
-    if (best_cover < static_cast<std::uint64_t>(config_.min_black_pairs)) break;
+    if (best_cover < kMinBlackPairs) break;
     auto pod_it = pod_of_tor.find(best_tor);
     if (pod_it == pod_of_tor.end()) break;  // black pairs point at no known ToR
     const topo::Pod& pod = *pod_it->second;
@@ -143,7 +149,7 @@ BlackholeReport BlackholeDetector::detect(const agent::RecordColumns& window,
   for (const auto& [podset, affected] : podset_affected) {
     double fraction =
         static_cast<double>(affected) / static_cast<double>(podset_tors[podset]);
-    if (fraction >= config_.podset_escalation_fraction && podset_tors[podset] > 1) {
+    if (fraction >= kPodsetEscalationFraction && podset_tors[podset] > 1) {
       escalated.insert(podset);
       report.escalations.push_back(PodsetId{podset});
     }

@@ -36,31 +36,24 @@
 
 namespace pingmesh::analysis {
 
-struct BlackholeConfig {
-  std::uint64_t min_probes_per_pair = 3;  ///< pairs with fewer probes are ignored
-  std::uint64_t min_failures = 2;         ///< failed probes making a pair "black"
-  double pair_failure_threshold = 0.15;   ///< failure rate making a pair "black"
-  int min_black_pairs = 3;                ///< greedy-cover noise floor per ToR
-  double podset_escalation_fraction = 0.99;  ///< all ToRs affected -> Leaf/Spine
-  /// Liveness test for the dead-server exclusion. false (default): a server
-  /// is alive iff it had >= 1 successful probe — a fully black-holed pod
-  /// looks dead and is never blamed on its ToR (the paper's conservative
-  /// stance: passively indistinguishable from a pod power-down). true: a
-  /// server is alive iff it *reported* (appears as the source of any
-  /// record) — agents upload over the management plane, so a pod whose
-  /// servers keep reporting failures is alive behind a black-holing ToR,
-  /// while a crashed server uploads nothing. The healing loop uses this
-  /// mode so a full ToR black-hole is still attributable.
-  bool reporting_liveness = false;
-  /// Under reporting_liveness, a server only counts as alive if it reported
-  /// *continuously*: its records-as-source cover the window with no gap
-  /// (including the window edges) wider than this. A window spanning a
-  /// server crash — or the recovery from one — still holds the victim's
-  /// uploads from its healthy stretch, and counting its failed pairs blames
-  /// the ToR for a dead host; an upload gap marks those failures as
-  /// unattributable instead. Must exceed the upload period (10s in the
-  /// streaming configs).
-  SimTime liveness_max_gap = seconds(45);
+/// Which servers count as alive for the dead-server exclusion.
+enum class Liveness : std::uint8_t {
+  /// A server is alive iff it had >= 1 successful probe: a fully
+  /// black-holed pod looks dead and is never blamed on its ToR (the paper's
+  /// conservative stance: passively indistinguishable from a pod
+  /// power-down).
+  kSucceeded,
+  /// A server is alive iff it *reported* continuously: its records as
+  /// source cover the window with no gap (edges included) wider than 45 s.
+  /// Agents upload over the management plane, so a pod whose servers keep
+  /// reporting failures is alive behind a black-holing ToR, while a crashed
+  /// server uploads nothing. A window spanning a server crash, or the
+  /// recovery from one, still holds the victim's uploads from its healthy
+  /// stretch; the gap marks its failures as unattributable instead of
+  /// blaming the ToR for a dead host. The gap must exceed the upload period
+  /// (10 s in the streaming configs). The healing loop uses this mode so a
+  /// full ToR black-hole is still attributable.
+  kReporting,
 };
 
 struct TorScore {
@@ -87,17 +80,12 @@ struct BlackholeReport {
   std::vector<TorScore> all_scores;
 };
 
-class BlackholeDetector {
- public:
-  explicit BlackholeDetector(BlackholeConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] BlackholeReport detect(const agent::RecordColumns& window,
-                                       const topo::Topology& topo) const;
-
-  [[nodiscard]] const BlackholeConfig& config() const { return config_; }
-
- private:
-  BlackholeConfig config_;
-};
+/// Score the ToRs of `topo` from one record window. A pair is black when
+/// it has >= 3 probes, >= 2 failures and a failure rate of at least
+/// agent::kBlackPairFailureRate; the greedy cover stops below 3 black pairs
+/// per ToR, and a podset whose ToRs are all flagged escalates.
+[[nodiscard]] BlackholeReport detect_blackholes(const agent::RecordColumns& window,
+                                                const topo::Topology& topo,
+                                                Liveness liveness = Liveness::kSucceeded);
 
 }  // namespace pingmesh::analysis

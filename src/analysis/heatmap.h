@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "agent/counters.h"
 #include "common/types.h"
 #include "dsa/database.h"
 #include "topology/topology.h"
@@ -32,7 +33,7 @@ struct HeatmapThresholds {
   SimTime green_below = millis(4);
   SimTime yellow_below = millis(5);
   /// A cell is also red when its drop rate alone breaks SLA.
-  double red_drop_rate = 1e-3;
+  double red_drop_rate = agent::kAlertDropRate;
 };
 
 /// Pod-pair heatmap for one DC. Pods are ordered by podset then pod, so

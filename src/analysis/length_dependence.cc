@@ -4,8 +4,13 @@
 
 namespace pingmesh::analysis {
 
-LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window,
-                                                    const LengthDependenceConfig& config) {
+constexpr std::uint64_t kMinPayloadProbes = 500;  ///< statistical floor
+/// Flag when payload-leg loss exceeds SYN-leg loss by this factor AND is
+/// itself material.
+constexpr double kRatioThreshold = 5.0;
+constexpr double kMinPayloadLoss = 1e-4;
+
+LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window) {
   LengthDependenceReport report;
   agent::ProbeCounts syn;
   for (std::size_t i = 0; i < window.size(); ++i) {
@@ -37,9 +42,9 @@ LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& 
                            static_cast<double>(report.syn_probes);
   }
   report.length_dependent =
-      report.payload_probes >= config.min_payload_probes &&
-      report.payload_loss_rate >= config.min_payload_loss &&
-      report.payload_loss_rate >= config.ratio_threshold *
+      report.payload_probes >= kMinPayloadProbes &&
+      report.payload_loss_rate >= kMinPayloadLoss &&
+      report.payload_loss_rate >= kRatioThreshold *
                                       std::max(report.syn_loss_rate, 1e-9);
   return report;
 }

@@ -19,14 +19,6 @@
 
 namespace pingmesh::analysis {
 
-struct LengthDependenceConfig {
-  std::uint64_t min_payload_probes = 500;  ///< statistical floor
-  /// Flag when payload-leg loss exceeds SYN-leg loss by this factor AND is
-  /// itself material.
-  double ratio_threshold = 5.0;
-  double min_payload_loss = 1e-4;
-};
-
 struct LengthDependenceReport {
   std::uint64_t payload_probes = 0;      ///< connected probes that sent payload
   std::uint64_t payload_failures = 0;    ///< echo never completed
@@ -43,7 +35,8 @@ struct LengthDependenceReport {
   }
 };
 
-LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window,
-                                                    const LengthDependenceConfig& config = {});
+/// Flags the window when it holds >= 500 payload probes and the payload
+/// leg's loss is both >= 1e-4 and >= 5x the SYN leg's.
+LengthDependenceReport detect_length_dependent_loss(const agent::RecordColumns& window);
 
 }  // namespace pingmesh::analysis

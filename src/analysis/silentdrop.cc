@@ -8,6 +8,12 @@
 
 namespace pingmesh::analysis {
 
+constexpr std::uint64_t kMinProbes = 200;     ///< statistical floor per aggregate
+constexpr double kTierElevationFactor = 5.0;  ///< cross vs intra podset ratio -> spine
+constexpr std::size_t kPairsToProbe = 24;     ///< affected pairs used for pinpointing
+constexpr int kTuplesPerPair = 16;            ///< port variations per pair
+constexpr int kProbesPerTuple = 50;           ///< e2e probes per tuple for loss estimate
+
 const char* suspect_tier_name(SuspectTier t) {
   switch (t) {
     case SuspectTier::kNone: return "none";
@@ -32,8 +38,8 @@ std::vector<SwitchId> tcp_traceroute(netsim::SimNetwork& net, const FiveTuple& t
   return hops;
 }
 
-std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
-    const agent::RecordColumns& window, const topo::Topology& topo) const {
+std::optional<DcId> detect_affected_dc(const agent::RecordColumns& window,
+                                       const topo::Topology& topo) {
   std::unordered_map<std::uint32_t, agent::ProbeCounts> per_dc;
   for (std::size_t i = 0; i < window.size(); ++i) {
     auto src = topo.find_server_by_ip(window.src_ip(i));
@@ -46,9 +52,9 @@ std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
   std::optional<DcId> worst;
   double worst_rate = 0.0;
   for (const auto& [dc, acc] : per_dc) {
-    if (acc.probes < config_.min_probes) continue;
+    if (acc.probes < kMinProbes) continue;
     double rate = acc.drop_rate();
-    if (rate >= config_.incident_threshold && rate > worst_rate) {
+    if (rate >= agent::kAlertDropRate && rate > worst_rate) {
       worst = DcId{dc};
       worst_rate = rate;
     }
@@ -56,9 +62,9 @@ std::optional<DcId> SilentDropLocalizer::detect_affected_dc(
   return worst;
 }
 
-SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& window,
-                                               const topo::Topology& topo,
-                                               netsim::SimNetwork& net, SimTime now) const {
+SilentDropReport localize_silent_drops(const agent::RecordColumns& window,
+                                       const topo::Topology& topo, netsim::SimNetwork& net,
+                                       SimTime now) {
   SilentDropReport report;
   auto affected = detect_affected_dc(window, topo);
   if (!affected) return report;
@@ -83,10 +89,10 @@ SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& windo
   report.intra_podset_rate = intra_podset.drop_rate();
   report.cross_podset_rate = cross_podset.drop_rate();
 
-  bool cross_hot = report.cross_podset_rate >= config_.incident_threshold;
-  bool intra_hot = report.intra_podset_rate >= config_.incident_threshold;
+  bool cross_hot = report.cross_podset_rate >= agent::kAlertDropRate;
+  bool intra_hot = report.intra_podset_rate >= agent::kAlertDropRate;
   if (cross_hot && (!intra_hot || report.cross_podset_rate >=
-                                      config_.tier_elevation_factor *
+                                      kTierElevationFactor *
                                           std::max(report.intra_podset_rate, 1e-9))) {
     // Only traffic that climbs to the Spine layer is affected (Fig. 8(d)).
     report.tier = SuspectTier::kSpine;
@@ -114,13 +120,11 @@ SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& windo
   }
   std::sort(affected_pairs.begin(), affected_pairs.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (affected_pairs.size() > static_cast<std::size_t>(config_.pairs_to_probe)) {
-    affected_pairs.resize(static_cast<std::size_t>(config_.pairs_to_probe));
-  }
+  if (affected_pairs.size() > kPairsToProbe) affected_pairs.resize(kPairsToProbe);
 
   std::map<std::uint32_t, SpineLoss> loss_by_spine;
   for (const auto& [badness, key] : affected_pairs) {
-    for (int v = 0; v < config_.tuples_per_pair; ++v) {
+    for (int v = 0; v < kTuplesPerPair; ++v) {
       FiveTuple tuple{key.src, key.dst, static_cast<std::uint16_t>(40000 + v * 131), 33100, 6};
       // Which spine does this tuple ride? Discover it like traceroute does.
       std::vector<SwitchId> path = tcp_traceroute(net, tuple, now);
@@ -135,7 +139,7 @@ SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& windo
       SpineLoss& acc = loss_by_spine
                            .try_emplace(spine.value, SpineLoss{spine, 0, 0})
                            .first->second;
-      for (int k = 0; k < config_.probes_per_tuple; ++k) {
+      for (int k = 0; k < kProbesPerTuple; ++k) {
         netsim::PacketResult pr = net.send_packet(tuple, 64, now);
         ++acc.probes;
         if (!pr.delivered) ++acc.losses;
@@ -150,7 +154,7 @@ SilentDropReport SilentDropLocalizer::localize(const agent::RecordColumns& windo
               return a.loss_rate() > b.loss_rate();
             });
   if (!report.spine_losses.empty() &&
-      report.spine_losses.front().loss_rate() >= config_.culprit_min_loss) {
+      report.spine_losses.front().loss_rate() >= kCulpritMinLoss) {
     report.culprit = report.spine_losses.front().spine;
     report.culprit_loss = report.spine_losses.front().loss_rate();
   }

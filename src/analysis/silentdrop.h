@@ -29,16 +29,9 @@ namespace pingmesh::analysis {
 std::vector<SwitchId> tcp_traceroute(netsim::SimNetwork& net, const FiveTuple& tuple,
                                      SimTime now, int retries_per_hop = 3);
 
-struct SilentDropConfig {
-  double baseline_drop_rate = 1e-4;     ///< normal-condition ceiling (§4.2)
-  double incident_threshold = 1e-3;     ///< DC-wide rate that means incident
-  std::uint64_t min_probes = 200;       ///< statistical floor per aggregate
-  double tier_elevation_factor = 5.0;   ///< cross vs intra podset ratio -> spine
-  int pairs_to_probe = 24;              ///< affected pairs used for pinpointing
-  int tuples_per_pair = 16;             ///< port variations per pair
-  int probes_per_tuple = 50;            ///< e2e probes per tuple for loss estimate
-  double culprit_min_loss = 0.005;      ///< measured per-spine loss marking culprit
-};
+/// Per-spine loss, measured by active probing, that marks the culprit. The
+/// healing loop acts on a pinpointed spine only at this loss.
+inline constexpr double kCulpritMinLoss = 0.005;
 
 enum class SuspectTier : std::uint8_t { kNone, kTor, kLeaf, kSpine };
 
@@ -65,24 +58,15 @@ struct SilentDropReport {
   double culprit_loss = 0.0;
 };
 
-class SilentDropLocalizer {
- public:
-  explicit SilentDropLocalizer(SilentDropConfig config = {}) : config_(config) {}
+/// Passive phase: the intra-DC view's worst DC whose drop rate reaches
+/// agent::kAlertDropRate over at least 200 probes, if any.
+[[nodiscard]] std::optional<DcId> detect_affected_dc(const agent::RecordColumns& window,
+                                                     const topo::Topology& topo);
 
-  /// Passive phase: find the affected DC (if any) from a record window.
-  [[nodiscard]] std::optional<DcId> detect_affected_dc(const agent::RecordColumns& window,
-                                                      const topo::Topology& topo) const;
-
-  /// Passive + active: classify the suspect tier from the window, then (if
-  /// Spine) traceroute+probe through `net` to pinpoint the culprit.
-  [[nodiscard]] SilentDropReport localize(const agent::RecordColumns& window,
-                                          const topo::Topology& topo,
-                                          netsim::SimNetwork& net, SimTime now) const;
-
-  [[nodiscard]] const SilentDropConfig& config() const { return config_; }
-
- private:
-  SilentDropConfig config_;
-};
+/// Passive + active: classify the suspect tier from the window, then (if
+/// Spine) traceroute+probe through `net` to pinpoint the culprit.
+[[nodiscard]] SilentDropReport localize_silent_drops(const agent::RecordColumns& window,
+                                                     const topo::Topology& topo,
+                                                     netsim::SimNetwork& net, SimTime now);
 
 }  // namespace pingmesh::analysis

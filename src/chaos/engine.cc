@@ -109,22 +109,7 @@ ChaosRunResult run_plan(const ChaosPlan& plan, const ChaosRunOptions& options) {
     }
     result.heal.deferred_executed = sim.repair().deferred_executed_total();
     result.heal.deferred_pending = sim.repair().deferred().size();
-    for (const heal::Incident& inc : healer->incidents()) {
-      HealIncidentSummary s;
-      s.sw = inc.sw;
-      s.state = heal::incident_state_name(inc.state);
-      s.action = heal::incident_action_name(inc.action);
-      s.detect = inc.detect;
-      s.corroborate = inc.corroborate;
-      s.repair = inc.repair;
-      s.recover = inc.recover;
-      s.deferred = inc.deferred;
-      s.escalated_rma = inc.escalated_rma;
-      s.triggers = inc.triggers.size();
-      s.sla_before = inc.sla_before;
-      s.sla_after = inc.sla_after;
-      result.heal.incidents.push_back(std::move(s));
-    }
+    result.heal.incidents = healer->incidents();
   }
 
   if (replicas) {

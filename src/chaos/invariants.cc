@@ -291,7 +291,7 @@ InvariantFinding check_blackhole_repaired(const core::PingmeshSimulation& sim,
     // Only black-holes the loop can plausibly catch: strong enough for the
     // fail-rate rule, active for at least the repair deadline, and with the
     // deadline inside the simulated run.
-    if (e.magnitude < 0.15) continue;
+    if (e.magnitude < agent::kBlackPairFailureRate) continue;
     if (e.end - e.start < kHealRepairDeadline) continue;
     if (e.start + kHealRepairDeadline > plan.duration + plan.settle) continue;
     ++checked;
@@ -329,7 +329,7 @@ InvariantFinding check_corroborated_repair(const core::PingmeshSimulation& sim,
     if (!r.executed) continue;
     ++executed;
     bool corroborated = false;
-    for (const HealIncidentSummary& inc : heal->incidents) {
+    for (const heal::Incident& inc : heal->incidents) {
       if (inc.sw == r.sw && inc.corroborate > 0 && inc.corroborate <= r.time) {
         corroborated = true;
         break;

@@ -43,6 +43,7 @@
 
 #include "chaos/plan.h"
 #include "core/simulation.h"
+#include "heal/loop.h"
 
 namespace pingmesh::chaos {
 
@@ -103,31 +104,13 @@ struct ServeChaosOutcome {
   std::uint64_t failed_with_replicas = 0;  ///< 503s while a replica was alive
 };
 
-/// Summary of one closed-loop healing incident, mirrored out of
-/// heal::Incident by the engine so the invariant checker (and the soak
-/// report) consume a plain value type instead of including the heal module.
-struct HealIncidentSummary {
-  SwitchId sw;          ///< blamed switch; invalid for escalate/expire
-  std::string state;    ///< incident_state_name()
-  std::string action;   ///< incident_action_name()
-  SimTime detect = 0;
-  SimTime corroborate = 0;
-  SimTime repair = 0;
-  SimTime recover = 0;
-  bool deferred = false;
-  bool escalated_rma = false;
-  std::size_t triggers = 0;
-  double sla_before = -1.0;
-  double sla_after = -1.0;
-};
-
 /// Outcome of the healing loop a chaos run attaches when the plan sets
 /// `heal on` (engine.cc). Feeds the blackhole-repaired and
 /// corroborated-repair invariants and the soak report.
 struct HealChaosOutcome {
   bool ran = false;
   std::uint64_t triggers_seen = 0;
-  std::vector<HealIncidentSummary> incidents;
+  std::vector<heal::Incident> incidents;
   // Mirrored from the RepairService before the simulation is torn down.
   std::uint64_t reloads_executed = 0;
   std::uint64_t rmas_executed = 0;

@@ -37,7 +37,7 @@ void PinglistGenerator::add_target(Pinglist& pl, IpAddr ip, SimTime interval,
   PingTarget t;
   t.ip = ip;
   t.port = config_.tcp_port;
-  t.interval = std::max(interval, config_.min_interval_floor);
+  t.interval = std::max(interval, kHardMinProbeInterval);
   // Every k-th target additionally exercises the payload path.
   if (config_.payload_every_kth > 0 && ordinal % config_.payload_every_kth == 0) {
     t.kind = ProbeKind::kTcpPayload;
@@ -63,7 +63,7 @@ Pinglist PinglistGenerator::generate_for(ServerId server) const {
   pl.server_name = self.name;
   pl.server_ip = self.ip;
   pl.version = version_;
-  pl.min_probe_interval = config_.min_interval_floor;
+  pl.min_probe_interval = kHardMinProbeInterval;
   std::size_t ordinal = static_cast<std::size_t>(server.value);  // stagger payload picks
 
   // Level 1: complete graph among servers under the same ToR.
@@ -110,7 +110,7 @@ Pinglist PinglistGenerator::generate_for(ServerId server) const {
       if (pl.targets.size() >= config_.max_targets_per_server) break;
       PingTarget t = vip;
       t.is_vip = true;
-      if (t.interval < config_.min_interval_floor) t.interval = config_.min_interval_floor;
+      if (t.interval < kHardMinProbeInterval) t.interval = kHardMinProbeInterval;
       pl.targets.push_back(t);
     }
   }

@@ -34,10 +34,6 @@ struct GeneratorConfig {
   SimTime intra_dc_interval = minutes(1);
   SimTime inter_dc_interval = minutes(5);
 
-  /// Hard floor (paper: minimum probe interval between any two servers is
-  /// limited to 10 seconds; hard coded in the agent too).
-  SimTime min_interval_floor = seconds(10);
-
   /// Threshold on a server's total probe targets ("The Pingmesh Controller
   /// uses threshold values to limit the total number of probes of a
   /// server"). Paper-scale pinglists are 2000-5000 peers.

@@ -15,6 +15,11 @@
 
 namespace pingmesh::controller {
 
+/// Minimum interval between two probes of one server pair (paper §3.4:
+/// "hard coded in the source code"). The generator floors every target's
+/// interval at it, and the agent clamps to it whatever the pinglist says.
+constexpr SimTime kHardMinProbeInterval = seconds(10);
+
 /// Traffic class for QoS monitoring (paper §6.2 "QoS monitoring": pinglists
 /// are generated for both high and low priority DSCP classes; the agent
 /// listens on an extra port for the low-priority class).

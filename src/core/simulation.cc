@@ -7,6 +7,8 @@
 
 namespace pingmesh::core {
 
+constexpr SimTime kJobTick = minutes(1);  ///< JobManager wake-up cadence
+
 PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
     : config_(std::move(config)),
       topo_(topo::Topology::build(config_.dcs)),
@@ -104,7 +106,7 @@ PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
     collect_pa(now);
     return true;
   });
-  scheduler_.schedule_every(config_.job_tick, [this](SimTime now) {
+  scheduler_.schedule_every(kJobTick, [this](SimTime now) {
     tick_jobs(now);
     return true;
   });

@@ -49,7 +49,6 @@ struct SimulationConfig {
   agent::AgentConfig agent;
   SimTime agent_tick = seconds(10);       ///< driver granularity (probe due check)
   SimTime pa_period = minutes(5);         ///< Perfcounter Aggregator cadence
-  SimTime job_tick = minutes(1);          ///< JobManager wake-up cadence
   SimTime ingestion_delay = minutes(10);  ///< Cosmos->SCOPE availability delay
   SimTime cosmos_retention = hours(1);    ///< expire raw data older than this
   /// Extent rollover size for the Cosmos store. Expiry works at extent

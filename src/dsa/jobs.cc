@@ -104,29 +104,28 @@ void run_sla_job(const CosmosStream& stream, const JobContext& ctx, SimTime from
   emit_sla_rows(ctx, from, to, SlaScope::kService, services);
 }
 
-void run_dc_drop_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
-                     SimTime to) {
+void run_dc_drop_job(const JobContext& ctx, SimTime from, SimTime to) {
   const topo::Topology& topo = *ctx.topo;
+  // Summed row counters; PodPairStatRow::drop_rate() is the §4.2 estimate.
   struct DcAcc {
-    agent::ProbeCounts intra;
-    agent::ProbeCounts inter;
+    PodPairStatRow intra;
+    PodPairStatRow inter;
   };
   std::vector<DcAcc> acc(topo.dcs().size());
-
-  const agent::RecordColumns rows = scope::extract_records(stream, from, to, *ctx.scan_cache);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    auto src = topo.find_server_by_ip(rows.src_ip(i));
-    auto dst = topo.find_server_by_ip(rows.dst_ip(i));
-    if (!src || !dst) continue;
-    const topo::Server& s = topo.server(*src);
-    const topo::Server& d = topo.server(*dst);
-    if (s.dc != d.dc) continue;  // Table 1 is intra-DC only
-    DcAcc& a = acc[s.dc.value];
-    (s.pod == d.pod ? a.intra : a.inter).add(rows.success(i), rows.rtt(i));
+  for (const PodPairStatRow& r : ctx.db->pod_pair_stats) {
+    if (r.window_start < from || r.window_start >= to) continue;
+    const topo::Pod& src = topo.pod(r.src_pod);
+    if (src.dc != topo.pod(r.dst_pod).dc) continue;  // Table 1 is intra-DC only
+    PodPairStatRow& sum = r.src_pod == r.dst_pod ? acc[src.dc.value].intra
+                                                 : acc[src.dc.value].inter;
+    sum.probes += r.probes;
+    sum.successes += r.successes;
+    sum.failures += r.failures;
+    sum.drop_signatures += r.drop_signatures;
   }
   for (std::size_t dc = 0; dc < acc.size(); ++dc) {
-    const agent::ProbeCounts& intra = acc[dc].intra;
-    const agent::ProbeCounts& inter = acc[dc].inter;
+    const PodPairStatRow& intra = acc[dc].intra;
+    const PodPairStatRow& inter = acc[dc].inter;
     if (intra.probes == 0 && inter.probes == 0) continue;
     DcDropRow row;
     row.window_start = from;
@@ -215,8 +214,10 @@ void JobManager::register_standard_jobs(const CosmosStream& stream, const JobCon
                               c.db->sla_rows.end());
     evaluate_sla_alerts(c, fresh, thresholds, to);
   });
+  // Registered after the pod-pair job, so the day's last 10-min window is
+  // written on the tick the daily job sums the day.
   register_job("dc-drop-1d", days(1),
-               [s, c](SimTime from, SimTime to) { run_dc_drop_job(*s, c, from, to); });
+               [c](SimTime from, SimTime to) { run_dc_drop_job(c, from, to); });
 }
 
 void JobManager::on_tick(SimTime now) {

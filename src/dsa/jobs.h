@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "agent/counters.h"
 #include "agent/record.h"
 #include "common/types.h"
 #include "dsa/cosmos.h"
@@ -48,13 +49,16 @@ void run_sla_job(const CosmosStream& stream, const JobContext& ctx, SimTime from
                  SimTime to, bool include_server_rows = false);
 
 /// 1-day job: intra-/inter-pod drop rates per DC -> DcDropRow (Table 1).
-void run_dc_drop_job(const CosmosStream& stream, const JobContext& ctx, SimTime from,
-                     SimTime to);
+/// Sums the day's pod-pair rows from `ctx.db` rather than rescanning raw
+/// extents: the filter is the same, the counters add, and a day of raw
+/// records outlives Cosmos retention. Run it after the day's last 10-min
+/// pod-pair window.
+void run_dc_drop_job(const JobContext& ctx, SimTime from, SimTime to);
 
 /// Threshold alerting (paper §4.3: "If the packet drop rate is greater than
 /// 1e-3 or the 99th percentile latency is larger than 5ms ... fire alerts").
 struct AlertThresholds {
-  double drop_rate = 1e-3;
+  double drop_rate = agent::kAlertDropRate;
   SimTime p99 = millis(5);
   /// Minimum probes in a window before its metrics are trusted.
   std::uint64_t min_probes = 20;

@@ -11,15 +11,20 @@ int evaluate_pa_alerts(Database& db, const topo::Topology& topo,
   for (const PaCounterRow& row : db.pa_counters) {
     if (row.time <= since || row.time > now) continue;
     if (row.probes < thresholds.min_probes) continue;
-    std::string scope = "pa pod " + (row.pod.value < topo.pods().size()
-                                         ? topo.sw(topo.pod(row.pod).tor).name
-                                         : "#" + std::to_string(row.pod.value));
+    std::string scope = "pa pod ";
+    if (row.pod.value < topo.pods().size()) {
+      scope += topo.sw(topo.pod(row.pod).tor).name;
+    } else {
+      scope += '#';
+      scope += std::to_string(row.pod.value);
+    }
     // The PA path alerts on drop rate only: its pod-level percentiles are
     // noisy against a 5 ms threshold (one host stall skews a whole pod).
     // Precise latency alerting belongs to the Cosmos/SCOPE path.
     // A 5-minute pod window holds only hundreds of probes; one retransmit
     // signature breaches 1e-3 by itself. Require a few before paging.
-    if (row.drop_signatures >= 3 && row.drop_rate > thresholds.drop_rate) {
+    if (row.drop_signatures >= agent::kMinDropSignatures &&
+        row.drop_rate > thresholds.drop_rate) {
       // Dedup through the open-alert registry: a fault persisting across
       // many 5-min windows appends one AlertRow, not one per window.
       if (!db.open_alert(scope, rule, now)) continue;

@@ -15,6 +15,25 @@ constexpr const char* kSilentPairRule = "stream:silent_pair";
 constexpr const char* kFailRateRule = "stream:fail_rate";
 constexpr const char* kDropSpikeRule = "stream:drop_spike";
 
+/// Record window handed to the batch localizers at corroboration time.
+constexpr SimTime kCorroborateLookback = minutes(5);
+/// A trigger not corroborated within this window expires with no action
+/// (the transient-congestion path).
+constexpr SimTime kCorroborateDeadline = minutes(10);
+/// A repaired switch re-corroborating after this cooldown escalates from
+/// reload to isolate+RMA (the reload did not fix it).
+constexpr SimTime kReloadCooldown = minutes(4);
+/// A black-hole candidate is only actionable while its pod's pairs are
+/// still failing within this much of "now": the corroboration lookback can
+/// span a fault that already cleared (e.g. a crashed server that came
+/// back), and acting on stale evidence reloads healthy gear.
+constexpr SimTime kSymptomRecency = seconds(60);
+/// Minimum failed probes in the recency window to call a symptom current.
+constexpr int kMinRecentFailures = 2;
+/// Post-recovery SLA window: success rate over the incident's pairs in
+/// [recover, recover + window), compared against the pre-repair rate.
+constexpr SimTime kSlaPostWindow = minutes(4);
+
 bool blackhole_shaped(const std::string& rule) {
   return rule == kSilentPairRule || rule == kFailRateRule;
 }
@@ -66,11 +85,7 @@ std::string Incident::to_line() const {
   return out;
 }
 
-HealingLoop::HealingLoop(core::PingmeshSimulation& sim, HealConfig config)
-    : sim_(&sim), config_(config) {
-  // Full black-holes must stay attributable: victims never succeed but keep
-  // uploading failure records over the management plane.
-  config_.blackhole.reporting_liveness = true;
+HealingLoop::HealingLoop(core::PingmeshSimulation& sim) : sim_(&sim) {
   const topo::Topology& topo = sim.topology();
   for (const topo::Pod& pod : topo.pods()) {
     pod_by_tor_name_[topo.sw(pod.tor).name] = pod.id;
@@ -195,12 +210,12 @@ double HealingLoop::pair_success_rate(const Incident& inc,
 
 bool HealingLoop::symptom_current(PodId pod, const agent::RecordColumns& records,
                                   SimTime now) const {
-  SimTime from = now > config_.symptom_recency ? now - config_.symptom_recency : 0;
+  SimTime from = now > kSymptomRecency ? now - kSymptomRecency : 0;
   int failures = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (records.timestamp(i) < from || records.success(i)) continue;
     bool involved = pod_of(records.src_ip(i)) == pod || pod_of(records.dst_ip(i)) == pod;
-    if (involved && ++failures >= config_.min_recent_failures) return true;
+    if (involved && ++failures >= kMinRecentFailures) return true;
   }
   return false;
 }
@@ -228,7 +243,7 @@ void HealingLoop::corroborate(SimTime now) {
   if (pending_.empty()) return;
   const topo::Topology& topo = sim_->topology();
   obs::Observability* obs = sim_->observability();
-  SimTime from = now > config_.corroborate_lookback ? now - config_.corroborate_lookback : 0;
+  SimTime from = now > kCorroborateLookback ? now - kCorroborateLookback : 0;
   const agent::RecordColumns records = sim_->records_between(from, now);
 
   bool any_blackhole = false;
@@ -251,8 +266,10 @@ void HealingLoop::corroborate(SimTime now) {
   };
 
   if (any_blackhole) {
-    analysis::BlackholeDetector detector(config_.blackhole);
-    analysis::BlackholeReport report = detector.detect(records, topo);
+    // Full black-holes must stay attributable: victims never succeed but
+    // keep uploading failure records over the management plane.
+    analysis::BlackholeReport report =
+        analysis::detect_blackholes(records, topo, analysis::Liveness::kReporting);
 
     for (const analysis::TorScore& cand : report.candidates) {
       // The lookback can span a fault that already cleared (a crashed
@@ -277,7 +294,7 @@ void HealingLoop::corroborate(SimTime now) {
         if (inc.state == IncidentState::kCorroborated ||
             inc.state == IncidentState::kRepaired ||
             (inc.state == IncidentState::kRecovered &&
-             now - inc.recover < config_.corroborate_lookback)) {
+             now - inc.recover < kCorroborateLookback)) {
           live = &inc;
           break;
         }
@@ -285,7 +302,7 @@ void HealingLoop::corroborate(SimTime now) {
       if (live != nullptr) {
         for (const PendingTrigger& t : matched) live->triggers.emplace_back(t.scope, t.rule);
         if (live->state == IncidentState::kRepaired && live->action == IncidentAction::kReload &&
-            !live->escalated_rma && now - live->repair >= config_.reload_cooldown) {
+            !live->escalated_rma && now - live->repair >= kReloadCooldown) {
           sim_->repair().isolate_and_rma(
               cand.tor, "heal: black-hole persists after reload on " + topo.sw(cand.tor).name,
               now);
@@ -336,9 +353,9 @@ void HealingLoop::corroborate(SimTime now) {
   }
 
   if (any_dropspike) {
-    analysis::SilentDropLocalizer localizer(config_.silent_drop);
-    analysis::SilentDropReport report = localizer.localize(records, topo, sim_->net(), now);
-    if (report.culprit.valid() && report.culprit_loss >= config_.silent_drop.culprit_min_loss) {
+    analysis::SilentDropReport report =
+        analysis::localize_silent_drops(records, topo, sim_->net(), now);
+    if (report.culprit.valid() && report.culprit_loss >= analysis::kCulpritMinLoss) {
       auto matched = take_matching(
           [&](const PendingTrigger& t) { return t.rule == kDropSpikeRule; });
       Incident* live = nullptr;
@@ -373,7 +390,7 @@ void HealingLoop::expire_pending(SimTime now) {
   std::vector<PendingTrigger> expired;
   std::vector<PendingTrigger> rest;
   for (PendingTrigger& t : pending_) {
-    if (now - t.first_seen >= config_.corroborate_deadline) expired.push_back(std::move(t));
+    if (now - t.first_seen >= kCorroborateDeadline) expired.push_back(std::move(t));
     else rest.push_back(std::move(t));
   }
   pending_ = std::move(rest);
@@ -409,9 +426,9 @@ void HealingLoop::check_recovery(SimTime now) {
 void HealingLoop::finish_sla(SimTime now) {
   for (Incident& inc : incidents_) {
     if (inc.state != IncidentState::kRecovered || inc.sla_after >= 0.0) continue;
-    if (now < inc.recover + config_.sla_post_window) continue;
+    if (now < inc.recover + kSlaPostWindow) continue;
     inc.sla_after = pair_success_rate(
-        inc, sim_->records_between(inc.recover, inc.recover + config_.sla_post_window));
+        inc, sim_->records_between(inc.recover, inc.recover + kSlaPostWindow));
   }
 }
 

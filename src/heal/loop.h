@@ -5,9 +5,9 @@
 // The OnlineDetector (streaming fast path) opens `stream:*` alerts within
 // tens of seconds of a fault; the loop treats each as a *trigger*, never as
 // blame. Before any repair fires, the trigger must be corroborated by the
-// batch-path localizer over raw records — the BlackholeDetector's greedy
-// set-cover for black-hole-shaped triggers (silent_pair / fail_rate), the
-// SilentDropLocalizer's traceroute pinpointing for drop-rate spikes. Only a
+// batch-path localizer over raw records — detect_blackholes' greedy
+// set-cover for black-hole-shaped triggers (silent_pair / fail_rate),
+// localize_silent_drops' traceroute pinpointing for drop-rate spikes. Only a
 // corroborated, switch-attributed blame reaches the RepairService:
 //
 //   - ToR black-hole candidate  -> budgeted reload (clears TCAM/ECMP);
@@ -49,29 +49,6 @@ namespace pingmesh::heal {
 struct HealConfig {
   /// Loop cadence (alert drain + corroboration + recovery checks).
   SimTime poll_period = seconds(30);
-  /// Record window handed to the batch localizers at corroboration time.
-  SimTime corroborate_lookback = minutes(5);
-  /// A trigger not corroborated within this window expires with no action
-  /// (the transient-congestion path).
-  SimTime corroborate_deadline = minutes(10);
-  /// A repaired switch re-corroborating after this cooldown escalates from
-  /// reload to isolate+RMA (the reload did not fix it).
-  SimTime reload_cooldown = minutes(4);
-  /// A black-hole candidate is only actionable while its pod's pairs are
-  /// still failing within this much of "now": the corroboration lookback
-  /// can span a fault that already cleared (e.g. a crashed server that came
-  /// back), and acting on stale evidence reloads healthy gear.
-  SimTime symptom_recency = seconds(60);
-  /// Minimum failed probes in the recency window to call a symptom current.
-  int min_recent_failures = 2;
-  /// Post-recovery SLA window: success rate over the incident's pairs in
-  /// [recover, recover + window), compared against the pre-repair rate.
-  SimTime sla_post_window = minutes(4);
-  /// Batch corroborators. `blackhole.reporting_liveness` is forced on: the
-  /// loop must attribute *full* black-holes, whose victims never succeed
-  /// but keep uploading failures over the management plane.
-  analysis::BlackholeConfig blackhole;
-  analysis::SilentDropConfig silent_drop;
 };
 
 enum class IncidentState : std::uint8_t {
@@ -113,7 +90,7 @@ class HealingLoop {
  public:
   /// Binds to `sim` (which must outlive the loop). Call attach() before
   /// run_for to install the recurring tick, or drive tick() manually.
-  HealingLoop(core::PingmeshSimulation& sim, HealConfig config = {});
+  explicit HealingLoop(core::PingmeshSimulation& sim);
 
   void attach();
   void tick(SimTime now);
@@ -158,7 +135,6 @@ class HealingLoop {
   HealConfig config_;
   std::unordered_map<std::string, PodId> pod_by_tor_name_;
   std::size_t alert_hw_ = 0;  ///< high-water mark into db().alerts
-  std::size_t repair_hw_ = 0; ///< high-water mark into repair().history()
   std::vector<PendingTrigger> pending_;
   std::vector<Incident> incidents_;
   std::uint64_t triggers_seen_ = 0;

@@ -135,10 +135,10 @@ SoakReport run_soak(const SoakConfig& config) {
     rep.rmas += static_cast<int>(heal.rmas_executed);
     rep.deferred_executed += static_cast<int>(heal.deferred_executed);
     rep.deferred_pending += static_cast<int>(heal.deferred_pending);
-    for (const chaos::HealIncidentSummary& inc : heal.incidents) {
-      if (inc.state == "escalated") ++rep.escalations;
-      if (inc.state == "expired") ++rep.expired;
-      if (inc.state == "recovered") ++rep.recovered;
+    for (const Incident& inc : heal.incidents) {
+      if (inc.state == IncidentState::kEscalated) ++rep.escalations;
+      if (inc.state == IncidentState::kExpired) ++rep.expired;
+      if (inc.state == IncidentState::kRecovered) ++rep.recovered;
       if (inc.sla_before >= 0.0 && inc.sla_after >= 0.0) {
         rep.sla_before_sum += inc.sla_before;
         rep.sla_after_sum += inc.sla_after;
@@ -160,8 +160,8 @@ SoakReport run_soak(const SoakConfig& config) {
       // Prefer the first incident detected at/after this injection; fall
       // back to any incident on the switch (re-injection into a pod whose
       // prior incident is still open folds into that incident).
-      const chaos::HealIncidentSummary* match = nullptr;
-      for (const chaos::HealIncidentSummary& inc : heal.incidents) {
+      const Incident* match = nullptr;
+      for (const Incident& inc : heal.incidents) {
         if (inc.sw != sw) continue;
         if (inc.detect >= e.start &&
             (match == nullptr || match->detect < e.start || inc.detect < match->detect)) {
@@ -188,9 +188,9 @@ SoakReport run_soak(const SoakConfig& config) {
     }
     // A reload (including one later escalated to RMA) on a switch the plan
     // never black-holed burned budget and rebooted healthy gear.
-    for (const chaos::HealIncidentSummary& inc : heal.incidents) {
+    for (const Incident& inc : heal.incidents) {
       bool did_reload = inc.repair > 0 &&
-                        (inc.action == "reload" || inc.escalated_rma);
+                        (inc.action == IncidentAction::kReload || inc.escalated_rma);
       if (did_reload && !blackholed.contains(inc.sw.value)) ++rep.false_reloads;
     }
 

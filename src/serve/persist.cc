@@ -526,7 +526,8 @@ void PersistentRollupStore::advance(SimTime now) {
 void PersistentRollupStore::checkpoint() { write_segment(); }
 
 void PersistentRollupStore::maybe_checkpoint() {
-  if (!pcfg_.checkpoint_on_tier1_seal) return;
+  // A checkpoint segment whenever the tier-1 sealed watermark advances
+  // (beyond that, checkpoint() forces one).
   if (store_.sealed_until(1) > checkpointed_tier1_) write_segment();
 }
 
@@ -538,7 +539,7 @@ void PersistentRollupStore::write_segment() {
              store_.now(), dsa::ExtentEncoding::kColumnar);
   ++segments_written_;
   checkpointed_tier1_ = store_.sealed_until(1);
-  // Retain keep_segments previous checkpoints as corruption fallback, and —
+  // Retain kKeepSegments previous checkpoints as corruption fallback, and —
   // critically — keep the WAL replayable from the OLDEST retained
   // checkpoint, not just the newest. Trimming to the newest seq would turn
   // a quarantined segment into a replay gap (old state + missing frames):
@@ -546,7 +547,7 @@ void PersistentRollupStore::write_segment() {
   // a partially covered open extent is kept whole — its already-covered
   // frames are skipped on replay by the seq comparison.)
   segment_seqs_.push_back(seq_);
-  while (segment_seqs_.size() > pcfg_.keep_segments + 1) {
+  while (segment_seqs_.size() > kKeepSegments + 1) {
     segment_seqs_.erase(segment_seqs_.begin());
   }
   const std::uint64_t floor = segment_seqs_.front();

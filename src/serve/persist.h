@@ -56,13 +56,11 @@ inline const std::string kRollupSegmentStream = "pingmesh/rollup-seg";
 struct PersistConfig {
   std::string wal_stream = kRollupWalStream;
   std::string segment_stream = kRollupSegmentStream;
-  /// Write a checkpoint segment whenever the tier-1 sealed watermark
-  /// advances (beyond that, checkpoint() forces one).
-  bool checkpoint_on_tier1_seal = true;
-  /// Keep this many previous checkpoints as corruption fallback before
-  /// expiring older segment extents.
-  std::uint64_t keep_segments = 2;
 };
+
+/// Previous checkpoints kept as corruption fallback before older segment
+/// extents expire.
+constexpr std::uint64_t kKeepSegments = 2;
 
 // -- WAL frame codec ---------------------------------------------------------
 // Cosmos appends concatenate into extents, so WAL records are self-

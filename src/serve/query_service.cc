@@ -9,6 +9,9 @@ namespace pingmesh::serve {
 
 namespace {
 
+constexpr SimTime kDefaultWindow = hours(1);  ///< without ?minutes=
+constexpr int kDefaultTopk = 10;              ///< without ?k=
+
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 14695981039346656037ULL;
   for (char c : s) {
@@ -26,6 +29,10 @@ std::string hex16(std::uint64_t v) {
     v >>= 4;
   }
   return out;
+}
+
+std::string make_etag(std::uint64_t version, const std::string& path) {
+  return "\"q-" + std::to_string(version) + "-" + hex16(fnv1a(path)) + "\"";
 }
 
 std::string fmt_rate(double v) {
@@ -90,25 +97,23 @@ void QueryService::enable_observability(obs::MetricsRegistry& registry) {
                     [this] { return static_cast<double>(store_->version()); });
 }
 
-SimTime QueryService::window_from_params(
-    const std::unordered_map<std::string, std::string>& params) const {
+SimTime QueryService::window_from_params(const Params& params) const {
   if (auto m = param_long(params, "minutes"); m && *m > 0) return minutes(*m);
-  return cfg_.default_window;
+  return kDefaultWindow;
 }
 
 net::HttpResponse QueryService::handle(const net::HttpRequest& req) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string endpoint;
-  std::unordered_map<std::string, std::string> params;
+  Params params;
   parse_path(req.path, &endpoint, &params);
   const std::string ep_label =
       (endpoint == "heatmap" || endpoint == "sla" || endpoint == "topk") ? endpoint
                                                                          : "other";
-  // Snapshot the store version once: the ETag and any cache entry written
-  // below must agree on it, or a body rendered at version N could be cached
-  // as fresh at N+1.
+  // Revalidation and cache hits compare against the current version; a
+  // render carries the version of the one store read it came from.
   const std::uint64_t version = store_->version();
-  std::string etag = "\"q-" + std::to_string(version) + "-" + hex16(fnv1a(req.path)) + "\"";
+  const std::string etag = make_etag(version, req.path);
 
   net::HttpResponse resp;
   const char* cache_result = nullptr;
@@ -138,8 +143,10 @@ net::HttpResponse QueryService::handle(const net::HttpRequest& req) {
       // Render outside cache_mu_ — the store is internally locked, and a
       // slow render must not block concurrent cache hits.
       int status = 200;
-      std::string body = render(endpoint, params, &status);
+      std::uint64_t rendered = version;
+      std::string body = render(endpoint, params, &status, &rendered);
       if (status == 200) {
+        std::string rendered_etag = make_etag(rendered, req.path);
         std::lock_guard<std::mutex> lock(cache_mu_);
         ++cache_misses_;
         cache_result = "miss";
@@ -153,9 +160,9 @@ net::HttpResponse QueryService::handle(const net::HttpRequest& req) {
           lru_.pop_back();
         }
         lru_.push_front(req.path);
-        cache_[req.path] = CacheEntry{version, etag, body, lru_.begin()};
+        cache_[req.path] = CacheEntry{rendered, rendered_etag, body, lru_.begin()};
         resp = net::HttpResponse::ok(std::move(body), "application/json");
-        resp.headers["etag"] = etag;
+        resp.headers["etag"] = std::move(rendered_etag);
       } else {
         resp = net::HttpResponse::error(status, status == 404 ? "Not Found" : "Bad Request",
                                         std::move(body));
@@ -178,27 +185,26 @@ net::HttpResponse QueryService::handle(const net::HttpRequest& req) {
   return resp;
 }
 
-std::string QueryService::render(const std::string& endpoint,
-                                 const std::unordered_map<std::string, std::string>& params,
-                                 int* status) {
-  if (endpoint == "heatmap") return render_heatmap(params, status);
-  if (endpoint == "sla") return render_sla(params, status);
-  if (endpoint == "topk") return render_topk(params, status);
+std::string QueryService::render(const std::string& endpoint, const Params& params,
+                                 int* status, std::uint64_t* version) {
+  if (endpoint == "heatmap") return render_heatmap(params, status, version);
+  if (endpoint == "sla") return render_sla(params, status, version);
+  if (endpoint == "topk") return render_topk(params, status, version);
   *status = 404;
   return "{\"error\":\"unknown endpoint; expected heatmap|sla|topk\"}";
 }
 
-std::string QueryService::render_heatmap(
-    const std::unordered_map<std::string, std::string>& params, int* status) {
-  const SimTime to = store_->now();
-  const SimTime from = std::max<SimTime>(0, to - window_from_params(params));
+std::string QueryService::render_heatmap(const Params& params, int* status,
+                                         std::uint64_t* version) {
+  const RollupView view = store_->view(window_from_params(params));
+  *version = view.version;
   std::optional<std::string> dc_filter;
   if (auto it = params.find("dc"); it != params.end()) dc_filter = it->second;
 
-  std::string out = "{\"from_s\":" + std::to_string(from / kNanosPerSecond) +
-                    ",\"to_s\":" + std::to_string(to / kNanosPerSecond) + ",\"pairs\":[";
+  std::string out = "{\"from_s\":" + std::to_string(view.from / kNanosPerSecond) +
+                    ",\"to_s\":" + std::to_string(view.to / kNanosPerSecond) + ",\"pairs\":[";
   bool first = true;
-  for (const PairRollup& row : store_->pair_stats(from, to)) {
+  for (const PairRollup& row : view.pairs) {
     if (dc_filter) {
       const topo::Pod& pod = topo_->pod(row.src_pod);
       if (topo_->dc(pod.dc).name != *dc_filter) continue;
@@ -218,8 +224,8 @@ std::string QueryService::render_heatmap(
   return out;
 }
 
-std::string QueryService::render_sla(
-    const std::unordered_map<std::string, std::string>& params, int* status) {
+std::string QueryService::render_sla(const Params& params, int* status,
+                                     std::uint64_t* version) {
   auto name_it = params.find("service");
   if (services_ == nullptr || name_it == params.end()) {
     *status = 404;
@@ -236,12 +242,12 @@ std::string QueryService::render_sla(
     *status = 404;
     return "{\"error\":\"unknown service: " + name_it->second + "\"}";
   }
-  const SimTime to = store_->now();
-  const SimTime from = std::max<SimTime>(0, to - window_from_params(params));
-  auto stats = store_->query_service(*id, from, to);
+  const RollupView view = store_->view(window_from_params(params), *id);
+  *version = view.version;
+  const std::optional<streaming::WindowStats>& stats = view.service;
   std::string out = "{\"service\":\"" + name_it->second +
-                    "\",\"from_s\":" + std::to_string(from / kNanosPerSecond) +
-                    ",\"to_s\":" + std::to_string(to / kNanosPerSecond);
+                    "\",\"from_s\":" + std::to_string(view.from / kNanosPerSecond) +
+                    ",\"to_s\":" + std::to_string(view.to / kNanosPerSecond);
   if (stats) {
     out += ",\"probes\":" + std::to_string(stats->probes) +
            ",\"successes\":" + std::to_string(stats->successes) +
@@ -260,9 +266,9 @@ std::string QueryService::render_sla(
   return out;
 }
 
-std::string QueryService::render_topk(
-    const std::unordered_map<std::string, std::string>& params, int* status) {
-  int k = cfg_.default_topk;
+std::string QueryService::render_topk(const Params& params, int* status,
+                                      std::uint64_t* version) {
+  int k = kDefaultTopk;
   if (auto v = param_long(params, "k"); v && *v > 0) k = static_cast<int>(*v);
   std::string metric = "p99";
   if (auto it = params.find("metric"); it != params.end()) metric = it->second;
@@ -270,9 +276,9 @@ std::string QueryService::render_topk(
     *status = 400;
     return "{\"error\":\"metric must be p99|drop|failure\"}";
   }
-  const SimTime to = store_->now();
-  const SimTime from = std::max<SimTime>(0, to - window_from_params(params));
-  std::vector<PairRollup> rows = store_->pair_stats(from, to);
+  RollupView view = store_->view(window_from_params(params));
+  *version = view.version;
+  std::vector<PairRollup>& rows = view.pairs;
   auto score = [&metric](const PairRollup& r) {
     if (metric == "drop") return r.stats.drop_rate();
     if (metric == "failure") return r.stats.failure_rate();
@@ -291,8 +297,8 @@ std::string QueryService::render_topk(
   if (rows.size() > static_cast<std::size_t>(k)) rows.resize(k);
 
   std::string out = "{\"metric\":\"" + metric + "\",\"k\":" + std::to_string(k) +
-                    ",\"from_s\":" + std::to_string(from / kNanosPerSecond) +
-                    ",\"to_s\":" + std::to_string(to / kNanosPerSecond) + ",\"pairs\":[";
+                    ",\"from_s\":" + std::to_string(view.from / kNanosPerSecond) +
+                    ",\"to_s\":" + std::to_string(view.to / kNanosPerSecond) + ",\"pairs\":[";
   bool first = true;
   for (const PairRollup& row : rows) {
     if (!first) out += ',';

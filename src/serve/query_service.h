@@ -26,13 +26,14 @@
 //
 // Thread-safety: the RollupStore is internally locked, so reads of it are
 // safe from any thread. The service's own mutable state — the LRU response
-// cache and the request counters — is PM_GUARDED_BY(cache_mu_). handle()
-// captures the store version ONCE per request and keys both the ETag and
-// the cache entry off that snapshot (re-reading version() mid-request could
-// cache a body rendered at version N under version N+1). Rendering runs
-// outside cache_mu_ so a slow render never blocks cache hits, and metrics
-// are recorded after the lock is released so cache_mu_ never nests inside
-// or around MetricsRegistry::mu_.
+// cache and the request counters — is PM_GUARDED_BY(cache_mu_). A render
+// takes the version, the watermark and the cells in ONE store read
+// (RollupStore::view), and keys both its ETag and its cache entry by that
+// read's version, so a concurrent write can never label a body rendered at
+// version N+1 as version N. Rendering runs outside cache_mu_ so a slow
+// render never blocks cache hits, and metrics are recorded after the lock
+// is released so cache_mu_ never nests inside or around
+// MetricsRegistry::mu_.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,6 @@ namespace pingmesh::serve {
 
 struct QueryServiceConfig {
   std::size_t cache_capacity = 64;  ///< LRU rendered-response entries
-  SimTime default_window = hours(1);
-  int default_topk = 10;
 };
 
 class QueryService {
@@ -117,17 +116,19 @@ class QueryService {
     std::list<std::string>::iterator lru;
   };
 
-  [[nodiscard]] std::string render(const std::string& endpoint,
-                                   const std::unordered_map<std::string, std::string>& params,
-                                   int* status);
-  [[nodiscard]] std::string render_heatmap(
-      const std::unordered_map<std::string, std::string>& params, int* status);
-  [[nodiscard]] std::string render_sla(
-      const std::unordered_map<std::string, std::string>& params, int* status);
-  [[nodiscard]] std::string render_topk(
-      const std::unordered_map<std::string, std::string>& params, int* status);
-  [[nodiscard]] SimTime window_from_params(
-      const std::unordered_map<std::string, std::string>& params) const;
+  using Params = std::unordered_map<std::string, std::string>;  ///< query string
+
+  /// Each renderer reads the store once (RollupStore::view) and reports
+  /// that read's version in `*version`.
+  [[nodiscard]] std::string render(const std::string& endpoint, const Params& params,
+                                   int* status, std::uint64_t* version);
+  [[nodiscard]] std::string render_heatmap(const Params& params, int* status,
+                                           std::uint64_t* version);
+  [[nodiscard]] std::string render_sla(const Params& params, int* status,
+                                       std::uint64_t* version);
+  [[nodiscard]] std::string render_topk(const Params& params, int* status,
+                                        std::uint64_t* version);
+  [[nodiscard]] SimTime window_from_params(const Params& params) const;
 
   const topo::Topology* topo_;
   const RollupStore* store_;

@@ -7,6 +7,11 @@
 
 namespace pingmesh::serve {
 
+// One failed request removes a dead replica from rotation (it cannot
+// half-answer), and readmission probes quickly after restarts.
+constexpr int kSlbFailureThreshold = 1;
+constexpr std::uint64_t kSlbRecoveryAfter = 8;
+
 ServeReplicaSet::ServeReplicaSet(const topo::Topology& topo,
                                  const topo::ServiceMap* services, RollupConfig cfg,
                                  dsa::CosmosStore& cosmos, ReplicaSetConfig rcfg)
@@ -16,7 +21,7 @@ ServeReplicaSet::ServeReplicaSet(const topo::Topology& topo,
       cosmos_(&cosmos),
       rcfg_(std::move(rcfg)),
       writer_(topo, services, cfg, cosmos, rcfg_.persist),
-      vip_(rcfg_.slb_failure_threshold, rcfg_.slb_recovery_after) {
+      vip_(kSlbFailureThreshold, kSlbRecoveryAfter) {
   PINGMESH_CHECK_MSG(rcfg_.replica_count > 0, "replica set needs >= 1 replica");
   replicas_.resize(rcfg_.replica_count);
   for (std::size_t i = 0; i < replicas_.size(); ++i) {

@@ -49,10 +49,6 @@ namespace pingmesh::serve {
 struct ReplicaSetConfig {
   std::size_t replica_count = 2;
   PersistConfig persist;
-  /// One failed request removes a dead replica from rotation (it cannot
-  /// half-answer), and readmission probes quickly after restarts.
-  int slb_failure_threshold = 1;
-  std::uint64_t slb_recovery_after = 8;
   QueryServiceConfig query;
 };
 

@@ -210,28 +210,27 @@ std::optional<streaming::WindowStats> RollupStore::query_pair(PodId src, PodId d
   return merge_range(it->second, from, to);
 }
 
-std::optional<streaming::WindowStats> RollupStore::query_service(ServiceId service,
-                                                                 SimTime from,
-                                                                 SimTime to) const {
+RollupView RollupStore::view(SimTime window, std::optional<ServiceId> service) const {
+  RollupView v;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = services_.find(service.value);
-  if (it == services_.end()) return std::nullopt;
-  return merge_range(it->second, from, to);
-}
-
-std::vector<PairRollup> RollupStore::pair_stats(SimTime from, SimTime to) const {
-  std::vector<PairRollup> out;
-  std::lock_guard<std::mutex> lock(mu_);
+  v.version = version_;
+  v.to = last_now_;
+  v.from = std::max<SimTime>(0, v.to - window);
+  if (service) {
+    auto it = services_.find(service->value);
+    if (it != services_.end()) v.service = merge_range(it->second, v.from, v.to);
+    return v;
+  }
   for (const auto& [key, series] : pairs_) {
-    auto stats = merge_range(series, from, to);
+    auto stats = merge_range(series, v.from, v.to);
     if (!stats) continue;
     PairRollup row;
     row.src_pod = PodId{static_cast<std::uint32_t>(key >> 32)};
     row.dst_pod = PodId{static_cast<std::uint32_t>(key & 0xffffffffu)};
     row.stats = *stats;
-    out.push_back(row);
+    v.pairs.push_back(row);
   }
-  return out;
+  return v;
 }
 
 std::uint64_t RollupStore::digest() const {

@@ -87,6 +87,16 @@ struct PairRollup {
   streaming::WindowStats stats;
 };
 
+/// One consistent read of the store (RollupStore::view), all of it taken
+/// at one store version.
+struct RollupView {
+  std::uint64_t version = 0;
+  SimTime from = 0;  ///< max(0, to - window)
+  SimTime to = 0;    ///< the ingest watermark
+  std::vector<PairRollup> pairs;  ///< sorted by (src, dst); empty for a service read
+  std::optional<streaming::WindowStats> service;  ///< nullopt when it has no cells
+};
+
 class RollupStore final : public dsa::RecordTap {
  public:
   /// `services` may be null (pair scope only); when given, a record also
@@ -107,11 +117,13 @@ class RollupStore final : public dsa::RecordTap {
   // -- queries (all const; bounds round outward to tier-0 boundaries) -------
   [[nodiscard]] std::optional<streaming::WindowStats> query_pair(
       PodId src, PodId dst, SimTime from, SimTime to) const;
-  [[nodiscard]] std::optional<streaming::WindowStats> query_service(
-      ServiceId service, SimTime from, SimTime to) const;
-  /// Every pair with queryable data overlapping [from, to), sorted by
-  /// (src, dst) — the heatmap / top-k source.
-  [[nodiscard]] std::vector<PairRollup> pair_stats(SimTime from, SimTime to) const;
+  /// The version, the watermark and the cells of the `window` before the
+  /// watermark, under one lock acquisition: the serving tier renders from
+  /// it, so an answer never mixes two versions. With `service`, that
+  /// service's cells; otherwise every pair with queryable data (the
+  /// heatmap / top-k source).
+  [[nodiscard]] RollupView view(SimTime window,
+                                std::optional<ServiceId> service = std::nullopt) const;
 
   // -- serving metadata ------------------------------------------------------
   /// Monotone state version: bumps whenever a batch changes cell contents or

@@ -2,13 +2,30 @@
 
 #include <algorithm>
 
+#include "agent/counters.h"
 #include "common/stats.h"
 
 namespace pingmesh::streaming {
 
-OnlineDetector::OnlineDetector(const topo::Topology& topo, dsa::Database& db,
-                               DetectorConfig cfg)
-    : topo_(&topo), db_(&db), cfg_(cfg) {}
+// Latency-boost rule (windowed median vs learned baseline).
+constexpr double kLatencyBoostFactor = 3.0;    ///< open when p50 > factor * baseline
+constexpr SimTime kLatencyAbsFloor = millis(1);  ///< and p50 above this absolute floor
+constexpr double kEwmaWeight = 0.2;            ///< baseline <- w * p50 + (1-w) * baseline
+
+// Silent-pair rule.
+constexpr std::uint64_t kSilentMinProbes = 6;  ///< window probes before "silent" is trusted
+constexpr SimTime kSilentAfter = seconds(30);  ///< open when now - last success exceeds this
+
+// Failure-rate rule (partial-blackhole shape); the rate bar is
+// agent::kBlackPairFailureRate.
+constexpr std::uint64_t kMinFailures = 8;  ///< absolute failure floor per window
+
+constexpr std::uint64_t kMinProbes = 6;  ///< window probes before any metric is trusted
+constexpr int kOpenAfter = 2;   ///< consecutive breaching evaluations to open
+constexpr int kCloseAfter = 3;  ///< consecutive clean evaluations to close
+
+OnlineDetector::OnlineDetector(const topo::Topology& topo, dsa::Database& db)
+    : topo_(&topo), db_(&db) {}
 
 const char* OnlineDetector::rule_name(Rule r) {
   switch (r) {
@@ -22,8 +39,8 @@ const char* OnlineDetector::rule_name(Rule r) {
 
 std::string OnlineDetector::pair_scope(PodId src, PodId dst) const {
   auto name = [this](PodId p) {
-    return p.value < topo_->pods().size() ? topo_->sw(topo_->pod(p).tor).name
-                                          : "#" + std::to_string(p.value);
+    if (p.value < topo_->pods().size()) return topo_->sw(topo_->pod(p).tor).name;
+    return '#' + std::to_string(p.value);
   };
   return "pair " + name(src) + "->" + name(dst);
 }
@@ -33,7 +50,7 @@ int OnlineDetector::step_rule(PairTrack& track, Rule rule, bool breach,
                               double value, const std::string& message, SimTime now) {
   if (breach) {
     track.clean_streak[rule] = 0;
-    if (++track.breach_streak[rule] < cfg_.open_after) return 0;
+    if (++track.breach_streak[rule] < kOpenAfter) return 0;
     if (!db_->open_alert(scope, rule_name(rule), now)) return 0;  // already open
     dsa::AlertRow a;
     a.time = now;
@@ -47,7 +64,7 @@ int OnlineDetector::step_rule(PairTrack& track, Rule rule, bool breach,
     return 1;
   }
   track.breach_streak[rule] = 0;
-  if (++track.clean_streak[rule] >= cfg_.close_after) {
+  if (++track.clean_streak[rule] >= kCloseAfter) {
     if (db_->close_alert(scope, rule_name(rule))) ++closed_;
   }
   return 0;
@@ -58,18 +75,18 @@ int OnlineDetector::evaluate(const WindowedAggregator& windows, SimTime now) {
   int fired = 0;
   for (const WindowedAggregator::PairWindow& pw : windows.snapshot(now)) {
     const WindowStats& s = pw.stats;
-    if (s.probes < cfg_.min_probes) continue;
+    if (s.probes < kMinProbes) continue;
     PairTrack& track = tracks_[(static_cast<std::uint64_t>(pw.src_pod.value) << 32) |
                                pw.dst_pod.value];
     std::string scope = pair_scope(pw.src_pod, pw.dst_pod);
 
-    // Silent pair: probes flowing, no connect landing for silent_after
+    // Silent pair: probes flowing, no connect landing for kSilentAfter
     // (blackhole shape). Lifetime last-success, not the windowed success
     // count: detection must not wait for pre-fault successes to age out of
     // the ring (that alone would cost the whole horizon).
     std::optional<SimTime> last_ok = windows.last_success(pw.src_pod, pw.dst_pod);
-    bool silent = s.probes >= cfg_.silent_min_probes &&
-                  (!last_ok.has_value() || now - *last_ok >= cfg_.silent_after);
+    bool silent = s.probes >= kSilentMinProbes &&
+                  (!last_ok.has_value() || now - *last_ok >= kSilentAfter);
     fired += step_rule(track, kSilentPair, silent, scope, dsa::AlertSeverity::kCritical,
                        s.failure_rate(),
                        "no successful probe since " +
@@ -85,8 +102,8 @@ int OnlineDetector::evaluate(const WindowedAggregator& windows, SimTime now) {
     // keeps a single crashed server in a small pod below the rule; the
     // silent guard keeps total loss owned by silent_pair alone instead of
     // double-alerting the same fault under two rules.
-    bool fail_rate = !silent && s.failures >= cfg_.min_failures &&
-                     s.failure_rate() >= cfg_.fail_rate_threshold;
+    bool fail_rate = !silent && s.failures >= kMinFailures &&
+                     s.failure_rate() >= agent::kBlackPairFailureRate;
     fired += step_rule(track, kFailRate, fail_rate, scope, dsa::AlertSeverity::kCritical,
                        s.failure_rate(),
                        "connect failure rate " + format_rate(s.failure_rate()) + " (" +
@@ -95,8 +112,8 @@ int OnlineDetector::evaluate(const WindowedAggregator& windows, SimTime now) {
                        now);
 
     // Drop-signature spike (§4.2 estimator, PA-style signature floor).
-    bool drop_spike = s.drop_signatures() >= cfg_.min_drop_signatures &&
-                      s.drop_rate() > cfg_.drop_rate_threshold;
+    bool drop_spike = s.drop_signatures() >= agent::kMinDropSignatures &&
+                      s.drop_rate() > agent::kAlertDropRate;
     fired += step_rule(track, kDropSpike, drop_spike, scope, dsa::AlertSeverity::kCritical,
                        s.drop_rate(),
                        "drop rate " + format_rate(s.drop_rate()) + " over live window",
@@ -111,8 +128,8 @@ int OnlineDetector::evaluate(const WindowedAggregator& windows, SimTime now) {
       bool boost = false;
       if (track.baseline_init) {
         boost = static_cast<double>(s.p50_ns) >
-                    cfg_.latency_boost_factor * track.p50_baseline &&
-                s.p50_ns > cfg_.latency_abs_floor;
+                    kLatencyBoostFactor * track.p50_baseline &&
+                s.p50_ns > kLatencyAbsFloor;
       }
       fired += step_rule(track, kLatencyBoost, boost, scope, dsa::AlertSeverity::kWarning,
                          static_cast<double>(s.p50_ns),
@@ -126,8 +143,8 @@ int OnlineDetector::evaluate(const WindowedAggregator& windows, SimTime now) {
           track.p50_baseline = static_cast<double>(s.p50_ns);
           track.baseline_init = true;
         } else {
-          track.p50_baseline = cfg_.ewma_weight * static_cast<double>(s.p50_ns) +
-                               (1.0 - cfg_.ewma_weight) * track.p50_baseline;
+          track.p50_baseline = kEwmaWeight * static_cast<double>(s.p50_ns) +
+                               (1.0 - kEwmaWeight) * track.p50_baseline;
         }
       }
     }

@@ -17,8 +17,8 @@
 //  - drop-signature spike: the §4.2 estimator (3 s / 9 s SYN-loss
 //    signatures over successes) over the live window, with the same
 //    signature floor the PA path uses against small-window noise;
-//  - silent pair: probes flowing but no connect landing for `silent_after`
-//    — the blackhole shape (deterministic SYN loss produces failures, not
+//  - silent pair: probes flowing but no connect landing for 30 s — the
+//    blackhole shape (deterministic SYN loss produces failures, not
 //    retransmit signatures). Judged against the pair's lifetime
 //    last-success time, not the windowed success count, so detection does
 //    not wait for pre-fault successes to age out of the ring;
@@ -26,14 +26,16 @@
 //    the *partial* blackhole shape (a corrupted-TCAM fraction < 1 kills a
 //    subset of server pairs 100% while the rest of the pod pair stays
 //    healthy, so neither silent-pair nor drop-spike fires). The threshold
-//    mirrors the batch localizer's per-pair blackness bar, and a failure
-//    floor keeps one crashed server in a large pod below the rule.
+//    is the batch localizer's per-pair blackness bar
+//    (agent::kBlackPairFailureRate), and a failure floor keeps one crashed
+//    server in a large pod below the rule.
 //
-// Hysteresis + dedup: a rule must breach `open_after` consecutive
-// evaluations to open, and an open (scope, rule) suppresses further rows
-// until `close_after` consecutive clean evaluations close it — a persistent
-// fault yields exactly one AlertRow, not one per evaluation (shared
-// open-alert registry in dsa::Database; the PA path uses the same registry).
+// The thresholds are constants in detector.cc. Hysteresis + dedup: a rule
+// must breach on 2 consecutive evaluations to open, and an open (scope,
+// rule) suppresses further rows until 3 consecutive clean evaluations close
+// it — a persistent fault yields exactly one AlertRow, not one per
+// evaluation (shared open-alert registry in dsa::Database; the PA path uses
+// the same registry).
 #pragma once
 
 #include <cstdint>
@@ -49,32 +51,11 @@ namespace pingmesh::streaming {
 
 struct DetectorConfig {
   SimTime eval_period = seconds(10);  ///< cadence the driver ticks evaluate()
-
-  // Latency-boost rule (windowed median vs learned baseline).
-  double latency_boost_factor = 3.0;  ///< open when p50 > factor * baseline
-  SimTime latency_abs_floor = millis(1);  ///< and p50 above this absolute floor
-  double ewma_weight = 0.2;           ///< baseline <- w * p50 + (1-w) * baseline
-
-  // Drop-spike rule (mirrors the PA path's thresholds).
-  double drop_rate_threshold = 1e-3;
-  std::uint64_t min_drop_signatures = 3;
-
-  // Silent-pair rule.
-  std::uint64_t silent_min_probes = 6;  ///< window probes before "silent" is trusted
-  SimTime silent_after = seconds(30);   ///< open when now - last success exceeds this
-
-  // Failure-rate rule (partial-blackhole shape).
-  double fail_rate_threshold = 0.15;     ///< windowed connect-failure fraction
-  std::uint64_t min_failures = 8;        ///< absolute failure floor per window
-
-  std::uint64_t min_probes = 6;  ///< window probes before any metric is trusted
-  int open_after = 2;   ///< consecutive breaching evaluations to open
-  int close_after = 3;  ///< consecutive clean evaluations to close
 };
 
 class OnlineDetector {
  public:
-  OnlineDetector(const topo::Topology& topo, dsa::Database& db, DetectorConfig cfg = {});
+  OnlineDetector(const topo::Topology& topo, dsa::Database& db);
 
   /// Evaluate every live pair window; appends deduplicated AlertRows.
   /// Returns the number of alerts newly opened this evaluation.
@@ -83,7 +64,6 @@ class OnlineDetector {
   [[nodiscard]] std::uint64_t evaluations() const { return evaluations_; }
   [[nodiscard]] std::uint64_t alerts_opened() const { return opened_; }
   [[nodiscard]] std::uint64_t alerts_closed() const { return closed_; }
-  [[nodiscard]] const DetectorConfig& config() const { return cfg_; }
 
  private:
   enum Rule : std::size_t {
@@ -111,7 +91,6 @@ class OnlineDetector {
 
   const topo::Topology* topo_;
   dsa::Database* db_;
-  DetectorConfig cfg_;
   std::unordered_map<std::uint64_t, PairTrack> tracks_;
   std::uint64_t evaluations_ = 0;
   std::uint64_t opened_ = 0;

@@ -28,7 +28,7 @@ struct StreamingConfig {
 class StreamingPipeline final : public dsa::RecordTap {
  public:
   StreamingPipeline(const topo::Topology& topo, dsa::Database& db, StreamingConfig cfg)
-      : cfg_(cfg), windows_(topo, cfg.windows), detector_(topo, db, cfg.detector) {}
+      : cfg_(cfg), windows_(topo, cfg.windows), detector_(topo, db) {}
 
   /// dsa::RecordTap: a record batch just landed in Cosmos.
   void on_records(const agent::RecordColumns& batch, SimTime now) override {

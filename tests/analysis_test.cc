@@ -219,8 +219,7 @@ TEST(Blackhole, DetectsSingleBadTor) {
   net.faults().add_blackhole(bad_tor, netsim::BlackholeMode::kSrcDstPair, 0.05);
 
   FleetRun run = run_fleet(topo, net, 5);
-  BlackholeDetector detector;
-  BlackholeReport report = detector.detect(run.records, topo);
+  BlackholeReport report = detect_blackholes(run.records, topo);
 
   ASSERT_EQ(report.candidates.size(), 1u) << "expected exactly the seeded ToR";
   EXPECT_EQ(report.candidates[0].tor, bad_tor);
@@ -238,7 +237,7 @@ TEST(Blackhole, FiveTupleModeAlsoDetected) {
   net.faults().add_blackhole(bad_tor, netsim::BlackholeMode::kFiveTuple, 0.5);
 
   FleetRun run = run_fleet(topo, net, 8);
-  BlackholeReport report = BlackholeDetector().detect(run.records, topo);
+  BlackholeReport report = detect_blackholes(run.records, topo);
   bool found = false;
   for (const TorScore& c : report.candidates) {
     if (c.tor == bad_tor) found = true;
@@ -250,7 +249,7 @@ TEST(Blackhole, CleanNetworkHasNoCandidates) {
   topo::Topology topo = one_small_dc();
   netsim::SimNetwork net(topo, 9);
   FleetRun run = run_fleet(topo, net, 5);
-  BlackholeReport report = BlackholeDetector().detect(run.records, topo);
+  BlackholeReport report = detect_blackholes(run.records, topo);
   EXPECT_TRUE(report.candidates.empty());
   EXPECT_TRUE(report.escalations.empty());
 }
@@ -266,7 +265,7 @@ TEST(Blackhole, PodsetWideSymptomEscalates) {
                                /*salt=*/pod.value);
   }
   FleetRun run = run_fleet(topo, net, 6);
-  BlackholeReport report = BlackholeDetector().detect(run.records, topo);
+  BlackholeReport report = detect_blackholes(run.records, topo);
   ASSERT_EQ(report.escalations.size(), 1u);
   EXPECT_EQ(report.escalations[0], topo.podsets()[0].id);
   for (const TorScore& c : report.candidates) {
@@ -303,7 +302,7 @@ TEST_P(BlackholeSweepTest, SeededTorIsFound) {
   net.faults().add_blackhole(bad_tor, c.mode, c.fraction);
 
   FleetRun run = run_fleet(topo, net, c.rounds);
-  BlackholeReport report = BlackholeDetector().detect(run.records, topo);
+  BlackholeReport report = detect_blackholes(run.records, topo);
   bool found = false;
   for (const TorScore& candidate : report.candidates) {
     if (candidate.tor == bad_tor) found = true;
@@ -335,8 +334,7 @@ TEST(SilentDrop, LocalizesFaultySpine) {
   net.faults().add_silent_random_drop(bad_spine, 0.02);
 
   FleetRun run = run_fleet(topo, net, 30);
-  SilentDropLocalizer localizer;
-  SilentDropReport report = localizer.localize(run.records, topo, net, 0);
+  SilentDropReport report = localize_silent_drops(run.records, topo, net, 0);
 
   ASSERT_TRUE(report.incident);
   EXPECT_EQ(report.affected_dc, DcId{0});
@@ -351,9 +349,8 @@ TEST(SilentDrop, NoIncidentOnCleanNetwork) {
   topo::Topology topo = one_small_dc();
   netsim::SimNetwork net(topo, 12);
   FleetRun run = run_fleet(topo, net, 10);
-  SilentDropLocalizer localizer;
-  EXPECT_FALSE(localizer.detect_affected_dc(run.records, topo).has_value());
-  EXPECT_FALSE(localizer.localize(run.records, topo, net, 0).incident);
+  EXPECT_FALSE(detect_affected_dc(run.records, topo).has_value());
+  EXPECT_FALSE(localize_silent_drops(run.records, topo, net, 0).incident);
 }
 
 TEST(SilentDrop, TracerouteDiscoversFullPath) {

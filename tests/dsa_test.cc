@@ -376,7 +376,11 @@ TEST_F(JobsTest, DcDropJobSplitsIntraInterPod) {
                                   seconds(1000 + i), seconds(3) + micros(268)));
   }
   load_records(records);
-  run_dc_drop_job(*store_.find(kLatencyStream), ctx_, 0, days(1));
+  // The daily job sums the day's 10-min pod-pair rows.
+  for (SimTime w = 0; w < days(1); w += minutes(10)) {
+    run_pod_pair_job(*store_.find(kLatencyStream), ctx_, w, w + minutes(10));
+  }
+  run_dc_drop_job(ctx_, 0, days(1));
   ASSERT_EQ(db_.dc_drop_rows.size(), 1u);
   const DcDropRow& row = db_.dc_drop_rows[0];
   EXPECT_NEAR(row.intra_pod_drop_rate, 10.0 / 1010.0, 1e-6);

@@ -26,7 +26,6 @@ using chaos::ChaosEventKind;
 using chaos::ChaosPlan;
 using chaos::ChaosRunOptions;
 using chaos::ChaosRunResult;
-using chaos::HealIncidentSummary;
 using chaos::InvariantFinding;
 
 ChaosPlan heal_plan(std::uint64_t seed, SimTime duration, SimTime settle) {
@@ -48,8 +47,8 @@ ChaosEvent blackhole(std::uint32_t pod, double magnitude, SimTime start, SimTime
   return e;
 }
 
-const HealIncidentSummary* find_incident(const ChaosRunResult& r, const std::string& action) {
-  for (const HealIncidentSummary& inc : r.heal.incidents) {
+const Incident* find_incident(const ChaosRunResult& r, IncidentAction action) {
+  for (const Incident& inc : r.heal.incidents) {
     if (inc.action == action) return &inc;
   }
   return nullptr;
@@ -94,7 +93,7 @@ TEST(HealPlan, HealDirectiveAndNewKindsRoundTrip) {
 
 TEST(HealLoop, BlackholeIsCorroboratedThenReloadedWithinDeadline) {
   // A partial ToR black-hole: the streaming fail-rate rule must trigger,
-  // the BlackholeDetector must corroborate the same ToR, and the budgeted
+  // detect_blackholes must corroborate the same ToR, and the budgeted
   // reload must clear the injected fault — all inside the repair deadline.
   ChaosPlan plan = heal_plan(41, minutes(20), minutes(8));
   plan.events.push_back(blackhole(2, 0.5, minutes(4), minutes(14)));
@@ -104,9 +103,9 @@ TEST(HealLoop, BlackholeIsCorroboratedThenReloadedWithinDeadline) {
   ASSERT_TRUE(r.heal.ran);
   EXPECT_EQ(r.heal.reloads_executed, 1u);
   EXPECT_EQ(r.heal.rmas_executed, 0u);
-  const HealIncidentSummary* inc = find_incident(r, "reload");
+  const Incident* inc = find_incident(r, IncidentAction::kReload);
   ASSERT_NE(inc, nullptr);
-  EXPECT_EQ(inc->state, "recovered");
+  EXPECT_EQ(inc->state, IncidentState::kRecovered);
   // Timeline ordering: detect -> corroborate -> repair -> recover.
   EXPECT_LE(inc->detect, inc->corroborate);
   EXPECT_LE(inc->corroborate, inc->repair);
@@ -147,7 +146,7 @@ TEST(HealLoop, SpineSilentDropIsIsolatedAndRmad) {
   ASSERT_TRUE(r.heal.ran);
   EXPECT_EQ(r.heal.reloads_executed, 0u);
   ASSERT_GE(r.heal.rmas_executed, 1u);
-  const HealIncidentSummary* inc = find_incident(r, "isolate-rma");
+  const Incident* inc = find_incident(r, IncidentAction::kIsolateRma);
   ASSERT_NE(inc, nullptr);
   // The localizer must blame the injected spine itself.
   core::SimulationConfig base = core::chaos_test_config(plan.seed);
@@ -177,9 +176,9 @@ TEST(HealLoop, TransientCongestionGetsNoRepair) {
   ASSERT_TRUE(r.heal.ran);
   EXPECT_EQ(r.heal.reloads_executed, 0u);
   EXPECT_EQ(r.heal.rmas_executed, 0u);
-  for (const HealIncidentSummary& inc : r.heal.incidents) {
-    EXPECT_TRUE(inc.action == "none" || inc.action == "escalate")
-        << "congestion produced repair action " << inc.action;
+  for (const Incident& inc : r.heal.incidents) {
+    EXPECT_TRUE(inc.action == IncidentAction::kNone || inc.action == IncidentAction::kEscalate)
+        << "congestion produced repair action " << incident_action_name(inc.action);
   }
 }
 
@@ -204,7 +203,7 @@ TEST(HealLoop, BudgetExhaustionSurfacesDeferredRepairInReport) {
   EXPECT_EQ(r.heal.deferred_pending, 1u);
   ASSERT_EQ(r.heal.incidents.size(), 1u);
   EXPECT_TRUE(r.heal.incidents[0].deferred);
-  EXPECT_EQ(r.heal.incidents[0].state, "corroborated");
+  EXPECT_EQ(r.heal.incidents[0].state, IncidentState::kCorroborated);
   // The miss is surfaced, not hidden: the repair invariant must fail.
   const InvariantFinding* repaired = r.report.find("blackhole-repaired");
   ASSERT_NE(repaired, nullptr);
@@ -231,12 +230,12 @@ TEST(HealLoop, DeferredReloadExecutesAtDayRolloverMidSoak) {
   EXPECT_EQ(r.heal.reloads_executed, 2u);
   EXPECT_EQ(r.heal.deferred_executed, 1u);
   EXPECT_EQ(r.heal.deferred_pending, 0u);
-  const HealIncidentSummary* parked = nullptr;
-  for (const HealIncidentSummary& inc : r.heal.incidents) {
+  const Incident* parked = nullptr;
+  for (const Incident& inc : r.heal.incidents) {
     if (inc.deferred) parked = &inc;
   }
   ASSERT_NE(parked, nullptr);
-  EXPECT_EQ(parked->state, "recovered");
+  EXPECT_EQ(parked->state, IncidentState::kRecovered);
   // Parked within day 0, executed at the first tick of day 1.
   EXPECT_LT(parked->corroborate, minutes(10));
   EXPECT_GE(parked->repair, minutes(10));

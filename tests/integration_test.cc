@@ -274,6 +274,39 @@ TEST(Integration, JobFreshnessMatchesPaperShape) {
   }
 }
 
+TEST(Integration, DailyDropRowsSumTheDaysPodPairRows) {
+  // The daily Table-1 job must cover the whole day. Cosmos keeps one hour of
+  // raw records, so a rescan at day end would see only the last of it; the
+  // day's 10-min pod-pair rows hold every probe of the day.
+  SimulationConfig cfg = small_test_config(7);
+  PingmeshSimulation sim(cfg);
+  sim.run_for(days(1) + cfg.ingestion_delay);
+
+  const topo::Topology& topo = sim.topology();
+  std::uint64_t probes[2] = {0, 0};  // intra-pod, inter-pod
+  std::uint64_t successes[2] = {0, 0};
+  std::uint64_t signatures[2] = {0, 0};
+  for (const dsa::PodPairStatRow& r : sim.db().pod_pairs_between(0, days(1))) {
+    ASSERT_EQ(topo.pod(r.src_pod).dc, topo.pod(r.dst_pod).dc);  // one DC, no inter-DC
+    const int k = r.src_pod == r.dst_pod ? 0 : 1;
+    probes[k] += r.probes;
+    successes[k] += r.successes;
+    signatures[k] += r.drop_signatures;
+  }
+  ASSERT_GT(probes[0], 0u);
+  ASSERT_GT(probes[1], 0u);
+  ASSERT_EQ(sim.db().dc_drop_rows.size(), 1u);
+  const dsa::DcDropRow& row = sim.db().dc_drop_rows[0];
+  EXPECT_EQ(row.window_start, 0);
+  EXPECT_EQ(row.window_end, days(1));
+  EXPECT_EQ(row.intra_pod_probes, probes[0]);
+  EXPECT_EQ(row.inter_pod_probes, probes[1]);
+  EXPECT_EQ(row.intra_pod_drop_rate,
+            static_cast<double>(signatures[0]) / static_cast<double>(successes[0]));
+  EXPECT_EQ(row.inter_pod_drop_rate,
+            static_cast<double>(signatures[1]) / static_cast<double>(successes[1]));
+}
+
 TEST(Integration, ChaosPodsetPacketDropCaseStudy) {
   // The paper's §5.2 case study, replayed as a chaos schedule: every switch
   // of one podset silently drops ~1% of packets mid-run. All three

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,7 +15,9 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "agent/record.h"
@@ -331,10 +334,11 @@ TEST_F(RollupTest, ServiceScopeRollsUpSourceServersOnly) {
   // Search -> Storage probe: rolls into Search (source scope) only.
   feed(store, {record(in_search, in_storage, seconds(1), 500'000)}, seconds(2));
 
-  auto search_stats = store.query_service(search, 0, seconds(10));
+  // Watermark 2 s: the window [0, 2 s) rounds out to the first 10 s cell.
+  auto search_stats = store.view(seconds(10), search).service;
   ASSERT_TRUE(search_stats.has_value());
   EXPECT_EQ(search_stats->probes, 1u);
-  EXPECT_FALSE(store.query_service(storage, 0, seconds(10)).has_value());
+  EXPECT_FALSE(store.view(seconds(10), storage).service.has_value());
   EXPECT_TRUE(store.check_conservation());
 }
 
@@ -544,6 +548,97 @@ TEST_F(QueryServiceTest, HttpLoopbackServesGetHeadAndConditional) {
   ASSERT_TRUE(got_cond.ok);
   EXPECT_EQ(got_cond.response.status, 304);
   EXPECT_TRUE(got_cond.response.body.empty());
+}
+
+// A writer thread applies batches while handle() runs, with no lock of the
+// test's own around either: every 200 must carry the body a fresh render
+// gives at its ETag's version. A replica replayed batch by batch passes
+// through every version the served store can show between two batches.
+TEST(ServeConcurrency, EveryBodyMatchesAFreshRenderAtItsEtagVersion) {
+  topo::Topology topo = topo::Topology::build({topo::small_dc_spec("DC1", "US West")});
+  topo::ServiceMap services;
+  services.add_service("Search", topo.pod(PodId{0}).servers);
+  constexpr int kBatches = 300;
+  std::vector<agent::RecordColumns> batches(kBatches);
+  for (int k = 0; k < kBatches; ++k) {
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      const topo::Pod& src = topo.pods()[i % 4];
+      const topo::Pod& dst = topo.pods()[(i + static_cast<std::uint32_t>(k)) % 6];
+      agent::LatencyRecord r;
+      r.timestamp = seconds(10) * k + i * millis(800);
+      r.src_ip = topo.server(src.servers[i % src.servers.size()]).ip;
+      r.dst_ip = topo.server(dst.servers[0]).ip;
+      r.success = (k + i) % 17 != 0;
+      r.rtt = micros(200) + micros(37) * ((k * 7 + i * 3) % 50);
+      batches[k].push_back(r);
+    }
+  }
+  auto batch_now = [](int k) { return seconds(10) * (k + 1); };
+  const std::vector<std::string> paths = {
+      "/query/heatmap?minutes=1", "/query/heatmap?minutes=10",
+      "/query/topk?k=3&metric=p99&minutes=2", "/query/topk?k=5&metric=failure&minutes=1",
+      "/query/sla?service=Search&minutes=1", "/query/sla?service=Search&minutes=10"};
+
+  RollupStore store(topo, &services, test_config());
+  serve::QueryService svc(topo, store, &services);
+  struct Answer {
+    std::uint64_t version;
+    std::size_t path;
+    std::string body;
+  };
+  std::vector<Answer> answers;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    while (!reading.load()) std::this_thread::yield();
+    for (int k = 0; k < kBatches; ++k) {
+      store.on_records(batches[k], batch_now(k));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    written.store(true);
+  });
+  reading.store(true);
+  std::size_t malformed = 0;  // non-200s and ETags without a version
+  for (std::size_t n = 0; !written.load(); ++n) {
+    const std::size_t path = n % paths.size();
+    net::HttpResponse resp = svc.handle({"GET", paths[path], {}, ""});
+    auto etag = resp.headers.find("etag");
+    if (resp.status != 200 || etag == resp.headers.end() ||
+        etag->second.rfind("\"q-", 0) != 0) {
+      ++malformed;
+      continue;
+    }
+    answers.push_back(Answer{std::stoull(etag->second.substr(3)), path, std::move(resp.body)});
+  }
+  writer.join();
+  EXPECT_EQ(malformed, 0u);
+
+  RollupStore replica(topo, &services, test_config());
+  std::map<std::pair<std::uint64_t, std::size_t>, std::string> fresh;
+  auto render_all = [&] {
+    serve::QueryService q(topo, replica, &services);
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      fresh[{replica.version(), p}] = q.handle({"GET", paths[p], {}, ""}).body;
+    }
+  };
+  render_all();
+  for (int k = 0; k < kBatches; ++k) {
+    replica.on_records(batches[k], batch_now(k));
+    render_all();
+  }
+  EXPECT_EQ(replica.digest(), store.digest());
+
+  std::set<std::uint64_t> versions;
+  std::size_t mismatched = 0;
+  for (const Answer& a : answers) {
+    versions.insert(a.version);
+    auto it = fresh.find({a.version, a.path});
+    ASSERT_NE(it, fresh.end()) << "version " << a.version << " never reached by the replay";
+    if (it->second != a.body) ++mismatched;
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << answers.size() << " answers";
+  // The reads really interleaved with the writes.
+  EXPECT_GT(versions.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ class DetectorTest : public ::testing::Test {
   DetectorTest()
       : topo_(topo::Topology::build({topo::small_dc_spec("DC1", "US West")})),
         agg_(topo_, WindowedAggregator::Config{}),
-        det_(topo_, db_, streaming::DetectorConfig{}) {}
+        det_(topo_, db_) {}
 
   agent::LatencyRecord rec(std::uint32_t src_pod, std::uint32_t dst_pod, SimTime ts,
                            bool success, SimTime rtt, std::size_t i = 0) const {
@@ -221,7 +221,7 @@ class DetectorTest : public ::testing::Test {
   topo::Topology topo_;
   dsa::Database db_;
   WindowedAggregator agg_;  // W = 10s, N = 6
-  OnlineDetector det_;      // eval 10s, open_after 2, close_after 3
+  OnlineDetector det_;      // evaluated every 10s; opens after 2, closes after 3
 };
 
 TEST_F(DetectorTest, DropSpikeOpensOnceThenReopensAfterClear) {
@@ -266,7 +266,7 @@ TEST_F(DetectorTest, SilentPairFromBootIsCriticalAfterHysteresis) {
   }
   auto silent = alerts_for("stream:silent_pair");
   ASSERT_EQ(silent.size(), 1u);
-  EXPECT_EQ(silent[0].time, seconds(20));  // open_after = 2 evaluations
+  EXPECT_EQ(silent[0].time, seconds(20));  // opens on the 2nd evaluation
   EXPECT_EQ(silent[0].severity, dsa::AlertSeverity::kCritical);
   EXPECT_NE(silent[0].scope.find("->"), std::string::npos);
   EXPECT_EQ(db_.alerts.size(), 1u);  // no drop-spike (failures carry no signature)
@@ -276,8 +276,8 @@ TEST_F(DetectorTest, FailRateCatchesPartialBlackholeWithoutSilencingPair) {
   // A partial ToR black-hole fails a fraction of a pair's probes while the
   // rest connect fine — the shape the healing loop's trigger must catch.
   // 4/12 failures per window clears the 0.15 rate threshold once the live
-  // horizon holds >= min_failures (8), i.e. from the second window; the
-  // open_after=2 hysteresis then opens one critical fail_rate alert.
+  // horizon holds the 8-failure floor, i.e. from the second window; the
+  // 2-evaluation hysteresis then opens one critical fail_rate alert.
   for (int w = 0; w <= 3; ++w) {
     fill(0, 1, w, 'p');
     det_.evaluate(agg_, seconds(10 * (w + 1)));
@@ -307,7 +307,7 @@ TEST_F(DetectorTest, SilentPairWaitsForGracePeriodAfterLastSuccess) {
     fill(0, 3, w, 'f');
     det_.evaluate(agg_, seconds(10 * (w + 1)));
     if (seconds(10 * (w + 1)) < seconds(50)) {
-      // Before last_success + silent_after + one hysteresis step, nothing.
+      // Before last_success + 30 s + one hysteresis step, nothing.
       EXPECT_EQ(alerts_for("stream:silent_pair").size(), 0u) << "w=" << w;
     }
   }

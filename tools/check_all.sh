@@ -21,7 +21,8 @@
 #                    against the planted fail-closed defect — the shrunken
 #                    reproducer must replay to a violation (DESIGN.md §11)
 #   4. tsan        — tools/tsan_check.sh (TSan, concurrency tests incl. the
-#                    4-worker chaos determinism run)
+#                    4-worker chaos determinism run and serving under a
+#                    concurrent writer)
 #   5. fuzz smoke  — if the compiler supports -fsanitize=fuzzer (clang),
 #                    build -DPINGMESH_FUZZ=ON and run each harness for
 #                    FUZZ_SECONDS (default 60) starting from its corpus.

@@ -723,10 +723,12 @@ class Checker {
         chain = fn_at(static_cast<std::size_t>(p)).qualified() + " -> " + chain;
       }
       const auto& [prim, prim_line] = f.taint_prims.front();
+      std::string msg = "'";
+      msg += f.qualified();
       emit(files_[all_fns_[i].file], f.def_line, "determinism-taint",
-           "'" + f.qualified() + "' uses nondeterministic primitive '" + prim +
-               "' (line " + std::to_string(prim_line) +
-               ") and is reachable from shard-parallel code: " + chain +
+           msg + "' uses nondeterministic primitive '" + prim + "' (line " +
+               std::to_string(prim_line) + ") and is reachable from shard-parallel code: " +
+               chain +
                "; move it into common/clock or common/rng, break the call path, "
                "or mark an intentional consumer with the determinism-sink "
                "directive");

@@ -5,18 +5,20 @@
 # (the upload-time tap runs in the serial drain phase; the determinism test
 # exercises it under 4 workers), and the observability tests (worker shards
 # bump shared counters, observe spinlocked histograms, and emit trace spans
-# concurrently — ObsSim runs the loop at 4 workers), and the chaos tests
+# concurrently — ObsSim runs the loop at 4 workers), the chaos tests
 # (the 1-vs-4-worker bit-identity run executes a full fault schedule on
-# 4 worker shards). A clean run certifies the fleet tick path
-# (SimNetwork::tcp_probe and everything it reaches) is race-free under real
-# parallel execution.
+# 4 worker shards), and the serving test that renders QueryService answers
+# while a writer thread applies batches to the RollupStore. A clean run
+# certifies the fleet tick path (SimNetwork::tcp_probe and everything it
+# reaches) and the serving read path are race-free under real parallel
+# execution.
 #
 # Usage: tools/tsan_check.sh [extra ctest -R pattern]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
-PATTERN=${1:-'ThreadPool|Parallel|Streaming|Metrics|Trace|ObsSim|Chaos'}
+PATTERN=${1:-'ThreadPool|Parallel|Streaming|Metrics|Trace|ObsSim|Chaos|ServeConcurrency'}
 
 cmake -B "$BUILD_DIR" -S . -DPINGMESH_SANITIZE=thread
 # Build everything, not just parallel_test/streaming_test: the ctest pattern
