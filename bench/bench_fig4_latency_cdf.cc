@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
 
   controller::GeneratorConfig gcfg;
   gcfg.enable_inter_dc = false;  // Figure 4 is intra-DC
-  gcfg.payload_every_kth = 4;
-  gcfg.payload_bytes = 1000;  // paper: 800-1200 bytes
+  gcfg.payload_every_kth = 4;  // 1 in 4 targets echoes kPayloadProbeBytes
   controller::PinglistGenerator gen(topo, gcfg);
   core::FleetProbeDriver driver(topo, net, gen);
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "analysis/heatmap.h"
-#include "analysis/server_selection.h"
 #include "analysis/sla.h"
 #include "common/stats.h"
 #include "core/scenarios.h"
@@ -22,7 +21,6 @@ int main() {
   //    the controller generates pinglists from the topology, the DSA
   //    pipeline aggregates on virtual time.
   core::SimulationConfig cfg = core::small_test_config(/*seed=*/2026);
-  cfg.include_server_sla_rows = true;  // micro scope, feeds server selection
   core::PingmeshSimulation sim(cfg);
   std::printf("Pingmesh quickstart: %zu servers, %zu switches, %zu pods\n",
               sim.topology().server_count(), sim.topology().switch_count(),
@@ -70,20 +68,7 @@ int main() {
               analysis::latency_pattern_name(pattern.pattern),
               pattern.green_fraction * 100);
 
-  // 7. Server selection (§6.2): which candidate servers have the healthiest
-  //    network view right now?
-  std::vector<ServerId> candidates(pod0.servers.begin(), pod0.servers.begin() + 4);
-  auto ranked = analysis::rank_servers_for_selection(sim.db(), candidates);
-  std::printf("\nserver selection (best network first):\n");
-  for (const auto& score : ranked) {
-    std::printf("  %-18s drop %-10s P99 %-8s (%lu probes)\n",
-                sim.topology().server(score.server).name.c_str(),
-                format_rate(score.drop_rate).c_str(),
-                format_latency_ns(score.p99_ns).c_str(),
-                static_cast<unsigned long>(score.probes));
-  }
-
-  // 8. Watchdogs (Autopilot keeps Pingmesh itself honest, §3.5).
+  // 7. Watchdogs (Autopilot keeps Pingmesh itself honest, §3.5).
   std::printf("\nwatchdogs:\n");
   for (const auto& check : sim.watchdogs().run_checks(sim.now())) {
     std::printf("  [%s] %s: %s\n", autopilot::health_name(check.health),

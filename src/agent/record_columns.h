@@ -1,8 +1,8 @@
 // RecordColumns: the one record representation of the data path, a
 // struct-of-arrays batch of LatencyRecord fields. The agent buffer, upload,
 // the record taps, the decoded-extent cache and EXTRACT's output are
-// RecordColumns, and the SCOPE jobs, the localizers, heal and scopeql read
-// its columns. LatencyRecord stays the CSV/local-log row and the value a
+// RecordColumns, and the SCOPE jobs, the localizers and heal read its
+// columns. LatencyRecord stays the CSV/local-log row and the value a
 // batch is built from (push_back). Each field keeps its own contiguous
 // array:
 //

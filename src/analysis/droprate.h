@@ -11,7 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "agent/counters.h"
 #include "agent/record_columns.h"
@@ -29,6 +30,8 @@ struct PairKey {
   auto operator<=>(const PairKey&) const = default;
 };
 
-std::map<PairKey, agent::ProbeCounts> per_pair_stats(const agent::RecordColumns& records);
+/// One entry per (src, dst) pair in `records`, in ascending (src, dst) order.
+std::vector<std::pair<PairKey, agent::ProbeCounts>> per_pair_stats(
+    const agent::RecordColumns& records);
 
 }  // namespace pingmesh::analysis

@@ -41,7 +41,7 @@ void PinglistGenerator::add_target(Pinglist& pl, IpAddr ip, SimTime interval,
   // Every k-th target additionally exercises the payload path.
   if (config_.payload_every_kth > 0 && ordinal % config_.payload_every_kth == 0) {
     t.kind = ProbeKind::kTcpPayload;
-    t.payload_bytes = config_.payload_bytes;
+    t.payload_bytes = kPayloadProbeBytes;
   }
   ++ordinal;
   pl.targets.push_back(t);

@@ -25,6 +25,9 @@
 
 namespace pingmesh::controller {
 
+/// Echo size of a payload probe: 800-1200 B in the paper (§4.1).
+constexpr std::uint32_t kPayloadProbeBytes = 1000;
+
 struct GeneratorConfig {
   std::uint16_t tcp_port = 33100;          ///< agent's high-priority probe port
   std::uint16_t low_priority_port = 33101; ///< extra port for QoS class low
@@ -43,7 +46,6 @@ struct GeneratorConfig {
   /// SYN/SYN-ACK (payload pings detect length-dependent drops, §4.1).
   /// Realized deterministically: every k-th target gets payload.
   std::uint32_t payload_every_kth = 4;
-  std::uint32_t payload_bytes = 1000;  ///< 800-1200 B in the paper
 
   bool enable_inter_dc = true;
   /// Servers selected per podset as inter-DC ping participants.

@@ -94,7 +94,7 @@ class JobManager {
 
   /// Register the standard 10-min / 1-hour / 1-day pipeline over a stream.
   /// `server_sla_rows` additionally emits per-server SLA rows from the
-  /// hourly job (micro scope; feeds server selection).
+  /// hourly job (the micro scope).
   void register_standard_jobs(const CosmosStream& stream, const JobContext& ctx,
                               const AlertThresholds& thresholds = {},
                               bool server_sla_rows = false);

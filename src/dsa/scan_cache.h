@@ -90,8 +90,7 @@ namespace scope {
 /// record-level filter is exact. Each extent is decoded at most once while
 /// it stays unchanged in `cache`; the window's rows are counted, then
 /// gathered column by column into one batch. The standard jobs
-/// (dsa/jobs.h), heal and the localizers read the batch's columns; ad-hoc
-/// queries go through dsa/scopeql.h.
+/// (dsa/jobs.h), heal and the localizers read the batch's columns.
 agent::RecordColumns extract_records(const CosmosStream& stream, SimTime from, SimTime to,
                                      DecodedExtentCache& cache);
 

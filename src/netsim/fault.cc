@@ -60,23 +60,6 @@ FaultId FaultInjector::add_congestion(SwitchId sw, double queue_scale, double dr
   return f.id;
 }
 
-FaultId FaultInjector::add_fcs_errors(SwitchId sw, double per_kb_drop, SimTime start,
-                                      SimTime end) {
-  if (per_kb_drop <= 0.0 || per_kb_drop > 1.0) {
-    throw std::invalid_argument("per_kb_drop must be in (0, 1]");
-  }
-  Fault f;
-  f.id = next_id_++;
-  f.kind = FaultKind::kFcsErrors;
-  f.sw = sw;
-  f.magnitude = per_kb_drop;
-  f.start = start;
-  f.end = end;
-  by_switch_[sw].push_back(faults_.size());
-  faults_.push_back(f);
-  return f.id;
-}
-
 FaultId FaultInjector::add_podset_down(PodsetId podset, SimTime start, SimTime end) {
   Fault f;
   f.id = next_id_++;
@@ -174,9 +157,6 @@ HopEffect FaultInjector::hop_effect(SwitchId sw, const FiveTuple& tuple,
       case FaultKind::kCongestion:
         e.extra_drop_prob += f.magnitude;
         e.queue_scale *= f.queue_scale;
-        break;
-      case FaultKind::kFcsErrors:
-        e.per_kb_drop += f.magnitude;
         break;
       case FaultKind::kPodsetDown:
         break;  // handled via podset_down()

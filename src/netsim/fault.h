@@ -7,8 +7,6 @@
 //  - silent random packet drops (§5.2): probabilistic drops from fabric
 //    bit flips / CRC errors / badly seated linecards; requires RMA;
 //  - congestion: extra queueing plus overflow drops;
-//  - FCS-style length-dependent drops (§4.1): drop probability grows with
-//    packet size (bit-error-rate driven) — the reason payload pings exist;
 //  - podset power-down (§6.3, Figure 8(b)): all servers of a podset gone.
 //
 // All faults have a [start, end) activity window in simulation time.
@@ -34,7 +32,6 @@ enum class FaultKind : std::uint8_t {
   kBlackhole,
   kSilentRandomDrop,
   kCongestion,
-  kFcsErrors,
   kPodsetDown,
   kServerDown,
 };
@@ -48,7 +45,6 @@ struct HopEffect {
   bool blackholed = false;
   double extra_drop_prob = 0.0;
   double queue_scale = 1.0;
-  double per_kb_drop = 0.0;
 };
 
 /// Registry of active faults, queried by the simulator on every hop.
@@ -71,11 +67,6 @@ class FaultInjector {
   /// overflow drop probability.
   FaultId add_congestion(SwitchId sw, double queue_scale, double drop_prob,
                          SimTime start = 0, SimTime end = kForever);
-
-  /// Length-dependent (FCS/SerDes) drops on `sw`: extra drop probability of
-  /// `per_kb_drop` per kilobyte of packet.
-  FaultId add_fcs_errors(SwitchId sw, double per_kb_drop, SimTime start = 0,
-                         SimTime end = kForever);
 
   /// Whole podset loses power: every server in it stops responding.
   FaultId add_podset_down(PodsetId podset, SimTime start = 0, SimTime end = kForever);
@@ -123,7 +114,7 @@ class FaultInjector {
     PodsetId podset;    // invalid for switch/server faults
     ServerId server;    // invalid for switch/podset faults
     BlackholeMode mode = BlackholeMode::kSrcDstPair;
-    double magnitude = 0.0;    // entry_fraction / drop_prob / per_kb_drop
+    double magnitude = 0.0;    // entry_fraction / drop_prob
     double queue_scale = 1.0;  // congestion only
     std::uint64_t salt = 0;
     SimTime start = 0;

@@ -155,8 +155,7 @@ PacketResult SimNetwork::send_packet(const FiveTuple& tuple, int size_bytes, Sim
       r.blackholed = true;
       return r;
     }
-    double p_drop = element_baseline_drop(sw, hop_prof) + eff.extra_drop_prob +
-                    eff.per_kb_drop * (static_cast<double>(size_bytes) / 1024.0);
+    double p_drop = element_baseline_drop(sw, hop_prof) + eff.extra_drop_prob;
     if (rng.chance(std::min(1.0, p_drop))) {
       r.drop_site = DropSite::kSwitch;
       r.drop_switch = sw.id;

@@ -4,14 +4,17 @@
 // classification, and the network-issue judgement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "agent/record_columns.h"
 #include "analysis/blackhole.h"
 #include "analysis/droprate.h"
 #include "analysis/heatmap.h"
-#include "analysis/length_dependence.h"
-#include "analysis/server_selection.h"
 #include "analysis/silentdrop.h"
 #include "analysis/sla.h"
+#include "common/rng.h"
 #include "core/fleet.h"
 #include "netsim/simnet.h"
 #include "topology/topology.h"
@@ -124,88 +127,47 @@ TEST(DropRate, PerPairStats) {
   r.dst_ip = IpAddr(10, 0, 0, 3);
   records.push_back(r);
   auto pairs = per_pair_stats(records);
-  EXPECT_EQ(pairs.size(), 2u);
-  PairKey k{IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 2)};
-  EXPECT_EQ(pairs[k].probes, 2u);
-  EXPECT_EQ(pairs[k].failures, 1u);
-  EXPECT_DOUBLE_EQ(pairs[k].failure_rate(), 0.5);
-}
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].first, (PairKey{IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 2)}));
+  EXPECT_EQ(pairs[0].second.probes, 2u);
+  EXPECT_EQ(pairs[0].second.failures, 1u);
+  EXPECT_DOUBLE_EQ(pairs[0].second.failure_rate(), 0.5);
 
-// ---------------------------------------------------------------------------
-// Length-dependent loss (§4.1: why payload pings exist)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-FleetRun run_payload_fleet(const topo::Topology& topo, netsim::SimNetwork& net,
-                           int rounds) {
-  controller::GeneratorConfig cfg = fleet_config();
-  cfg.payload_every_kth = 1;  // every probe carries payload
-  cfg.payload_bytes = 1100;
-  controller::PinglistGenerator gen(topo, cfg);
-  core::FleetProbeDriver driver(topo, net, gen);
-  FleetRun out;
-  driver.run_dense(0, rounds, seconds(10), [&](const core::FleetProbe& p) {
-    LatencyRecord r;
-    r.timestamp = p.time;
-    r.src_ip = topo.server(p.src).ip;
-    r.dst_ip = p.target->ip;
-    r.kind = p.target->kind;
-    r.payload_bytes = p.target->payload_bytes;
-    r.success = p.outcome.success;
-    r.rtt = p.outcome.rtt;
-    r.payload_success = p.outcome.payload_success;
-    r.payload_rtt = p.outcome.payload_rtt;
-    out.records.push_back(r);
-  });
-  return out;
-}
-
-}  // namespace
-
-TEST(LengthDependence, FcsFaultFlagged) {
-  // Bit-error-driven loss on a leaf: 1100-byte payloads die ~17x more often
-  // than 64-byte SYNs. The payload/SYN loss ratio exposes it.
-  topo::Topology topo = one_small_dc();
-  netsim::SimNetwork net(topo, 31);
-  for (SwitchId leaf : topo.podsets()[0].leaves) {
-    net.faults().add_fcs_errors(leaf, /*per_kb_drop=*/0.01);
+  // A shuffled batch over many pairs, addresses above 128.0.0.0 included:
+  // the pairs come out in ascending (src, dst) order, each with the counts
+  // of a per-pair reference.
+  const IpAddr ips[] = {IpAddr(10, 0, 0, 2), IpAddr(10, 0, 0, 1), IpAddr(255, 255, 255, 254),
+                        IpAddr(1, 2, 3, 4), IpAddr(192, 168, 1, 1)};
+  const SimTime rtts[] = {micros(200), seconds(3) + micros(200), seconds(9) + micros(200)};
+  std::vector<LatencyRecord> rows;
+  std::map<PairKey, agent::ProbeCounts> want;
+  int n = 0;  // rows so far; picks each row's outcome
+  for (IpAddr src : ips) {
+    for (IpAddr dst : ips) {
+      const int probes = 1 + n % 7;
+      for (int k = 0; k < probes; ++k, ++n) {
+        LatencyRecord x;
+        x.src_ip = src;
+        x.dst_ip = dst;
+        x.success = n % 5 != 0;
+        x.rtt = rtts[n % 3];
+        rows.push_back(x);
+        want[PairKey{src, dst}].add(x.success, x.rtt);
+      }
+    }
   }
-  FleetRun run = run_payload_fleet(topo, net, 6);
-  LengthDependenceReport report = detect_length_dependent_loss(run.records);
-  ASSERT_GE(report.payload_probes, 500u);
-  EXPECT_TRUE(report.length_dependent);
-  EXPECT_GT(report.ratio(), 5.0);
-  EXPECT_GT(report.payload_loss_rate, 1e-3);
-}
-
-TEST(LengthDependence, UniformLossNotFlagged) {
-  // Silent random drops hit every packet size alike: no flag.
-  topo::Topology topo = one_small_dc();
-  netsim::SimNetwork net(topo, 32);
-  net.faults().add_silent_random_drop(topo.dcs()[0].spines[0], 0.02);
-  FleetRun run = run_payload_fleet(topo, net, 6);
-  LengthDependenceReport report = detect_length_dependent_loss(run.records);
-  EXPECT_FALSE(report.length_dependent);
-}
-
-TEST(LengthDependence, CleanNetworkNotFlagged) {
-  topo::Topology topo = one_small_dc();
-  netsim::SimNetwork net(topo, 33);
-  FleetRun run = run_payload_fleet(topo, net, 4);
-  LengthDependenceReport report = detect_length_dependent_loss(run.records);
-  EXPECT_FALSE(report.length_dependent);
-  EXPECT_LT(report.payload_loss_rate, 1e-3);
-}
-
-TEST(LengthDependence, ThinDataNeverFlags) {
-  LatencyRecord r;
-  r.success = true;
-  r.kind = controller::ProbeKind::kTcpPayload;
-  r.payload_success = false;  // 100% loss but only 10 samples
-  agent::RecordColumns few;
-  for (int i = 0; i < 10; ++i) few.push_back(r);
-  EXPECT_FALSE(detect_length_dependent_loss(few).length_dependent);
+  Rng rng(7);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  agent::RecordColumns batch;
+  for (const LatencyRecord& x : rows) batch.push_back(x);
+  auto got = per_pair_stats(batch);
+  ASSERT_EQ(got.size(), want.size());
+  auto expected = want.begin();
+  for (const auto& [key, counts] : got) {
+    EXPECT_EQ(key, expected->first);
+    EXPECT_EQ(counts, expected->second);
+    ++expected;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,54 +464,6 @@ TEST(NetworkIssueJudge, Verdicts) {
   IssueVerdict thin = judge_network_issue(empty, dsa::SlaScope::kService, 1, 0, hours(1));
   EXPECT_FALSE(thin.network_issue);
   EXPECT_NE(thin.evidence.find("insufficient"), std::string::npos);
-}
-
-TEST(ServerSelection, RanksByDropRateThenLatency) {
-  dsa::Database db;
-  auto add_server_row = [&](std::uint32_t id, std::uint64_t signatures, SimTime p99) {
-    dsa::SlaRow r;
-    r.scope = dsa::SlaScope::kServer;
-    r.scope_id = id;
-    r.window_start = 0;
-    r.window_end = hours(1);
-    r.probes = 1000;
-    r.successes = 1000;
-    r.drop_signatures = signatures;
-    r.p99_ns = p99;
-    db.sla_rows.push_back(r);
-  };
-  add_server_row(1, 0, millis(1));   // clean & fast: best
-  add_server_row(2, 0, millis(4));   // clean, slower
-  add_server_row(3, 20, millis(1));  // drops 2%: worst measured
-  // server 4 has no data at all: unknown, ranks last.
-
-  auto ranked = rank_servers_for_selection(
-      db, {ServerId{4}, ServerId{3}, ServerId{2}, ServerId{1}});
-  ASSERT_EQ(ranked.size(), 4u);
-  EXPECT_EQ(ranked[0].server, ServerId{1});
-  EXPECT_EQ(ranked[1].server, ServerId{2});
-  EXPECT_EQ(ranked[2].server, ServerId{3});
-  EXPECT_EQ(ranked[3].server, ServerId{4});
-  EXPECT_NEAR(ranked[2].drop_rate, 0.02, 1e-9);
-  EXPECT_EQ(ranked[3].probes, 0u);
-}
-
-TEST(ServerSelection, WindowFilterApplies) {
-  dsa::Database db;
-  dsa::SlaRow old_row;
-  old_row.scope = dsa::SlaScope::kServer;
-  old_row.scope_id = 1;
-  old_row.window_start = 0;
-  old_row.window_end = hours(1);
-  old_row.probes = 1000;
-  old_row.successes = 1000;
-  old_row.drop_signatures = 100;  // terrible, but ancient
-  db.sla_rows.push_back(old_row);
-
-  SelectionOptions opts;
-  opts.window_start = hours(10);  // only recent data counts
-  auto ranked = rank_servers_for_selection(db, {ServerId{1}}, opts);
-  EXPECT_EQ(ranked[0].probes, 0u);  // the old window was excluded
 }
 
 TEST(NetworkIssueJudge, TimeSeries) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "autopilot/repair.h"
-#include "autopilot/service_manager.h"
 #include "autopilot/watchdog.h"
 
 namespace pingmesh::autopilot {
@@ -112,45 +111,6 @@ TEST(Repair, RmaIsolatesImmediatelyAndUnbudgeted) {
   ASSERT_EQ(isolated.size(), 1u);
   ASSERT_EQ(rs.rma_queue().size(), 1u);
   EXPECT_EQ(rs.rma_queue()[0], SwitchId{5});
-}
-
-TEST(ServiceManager, TerminatesOverBudgetService) {
-  // "Once the maximum memory usage exceeds the cap, the Pingmesh Agent will
-  // be terminated."
-  ServiceManager sm;
-  std::size_t memory = 10 * 1024 * 1024;
-  int killed = 0;
-  sm.manage("pingmesh-agent", ResourceBudget{.max_memory_bytes = 45 * 1024 * 1024},
-            [&] { return memory; }, nullptr, [&] {
-              ++killed;
-              memory = 1024;  // restart resets usage
-            });
-  EXPECT_EQ(sm.enforce(minutes(1)), 0);
-  memory = 100 * 1024 * 1024;  // leak!
-  EXPECT_EQ(sm.enforce(minutes(2)), 1);
-  EXPECT_EQ(killed, 1);
-  EXPECT_EQ(sm.enforce(minutes(3)), 0);  // healthy after restart
-  EXPECT_EQ(sm.total_terminations(), 1u);
-  EXPECT_EQ(sm.services()[0].terminations, 1u);
-}
-
-TEST(ServiceManager, CpuBudgetEnforced) {
-  ServiceManager sm;
-  double cpu = 0.01;
-  int killed = 0;
-  sm.manage("agent", ResourceBudget{.max_cpu_fraction = 0.05}, nullptr,
-            [&] { return cpu; }, [&] { ++killed; cpu = 0.0; });
-  sm.enforce(0);
-  EXPECT_EQ(killed, 0);
-  cpu = 0.80;  // busy loop bug
-  sm.enforce(seconds(1));
-  EXPECT_EQ(killed, 1);
-}
-
-TEST(ServiceManager, MissingProbesAreUnchecked) {
-  ServiceManager sm;
-  sm.manage("opaque", ResourceBudget{.max_memory_bytes = 1}, nullptr, nullptr, nullptr);
-  EXPECT_EQ(sm.enforce(0), 0);  // nothing to measure, nothing to kill
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(Generator, PayloadTargetsSprinkled) {
   for (const PingTarget& target : pl.targets) {
     if (target.kind == ProbeKind::kTcpPayload) {
       ++with_payload;
-      EXPECT_EQ(target.payload_bytes, cfg.payload_bytes);
+      EXPECT_EQ(target.payload_bytes, kPayloadProbeBytes);
     }
   }
   EXPECT_GT(with_payload, 0);

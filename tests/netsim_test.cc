@@ -271,12 +271,10 @@ TEST(FaultInjector, EffectsAggregate) {
   SwitchId sw{5};
   fi.add_silent_random_drop(sw, 0.01);
   fi.add_congestion(sw, 4.0, 0.002);
-  fi.add_fcs_errors(sw, 0.001);
   HopEffect e = fi.hop_effect(sw, FiveTuple{}, 0);
   EXPECT_FALSE(e.blackholed);
   EXPECT_NEAR(e.extra_drop_prob, 0.012, 1e-12);
   EXPECT_DOUBLE_EQ(e.queue_scale, 4.0);
-  EXPECT_NEAR(e.per_kb_drop, 0.001, 1e-12);
 }
 
 TEST(FaultInjector, ReloadClearsOnlyBlackholes) {

@@ -1,10 +1,9 @@
-// Malformed-input contracts for the four fuzzed parsers, driven from the
+// Malformed-input contracts for three of the fuzzed parsers, driven from the
 // same checked-in corpora the fuzz harnesses replay (tests/corpus/). Each
 // parser has one documented failure mode and must hit exactly it:
 //
 //   xml::parse        — throws std::runtime_error with an "offset N" position
 //   http parse_*      — returns std::nullopt
-//   scopeql           — throws QueryError with an "offset N" position
 //   cosmos_io load    — returns std::nullopt, or counts corrupt extents
 //
 // Anything else (crash, UB, unbounded allocation, wrong exception type) is
@@ -19,10 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "agent/record_columns.h"
 #include "common/xml.h"
 #include "dsa/cosmos_io.h"
-#include "dsa/scopeql.h"
 #include "net/http.h"
 
 namespace {
@@ -132,64 +129,6 @@ TEST(HttpRobustness, ValidCorpusMessagesRoundTrip) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->body, "hello world");
-}
-
-// --- scopeql ---------------------------------------------------------------
-
-TEST(ScopeqlRobustness, CorpusRunsOrThrowsQueryErrorWithPosition) {
-  pingmesh::dsa::scopeql::Interpreter interp;
-  pingmesh::agent::RecordColumns records;
-  for (int i = 0; i < 3; ++i) {
-    pingmesh::agent::LatencyRecord r;
-    r.timestamp = 1000 * i;
-    r.success = true;
-    r.rtt = 100'000 + i;
-    records.push_back(r);
-  }
-  for (const std::string& path : corpus_files("scopeql")) {
-    std::string query = slurp(path);
-    try {
-      (void)interp.run(query, records);
-    } catch (const pingmesh::dsa::scopeql::QueryError& e) {
-      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
-          << path << ": " << e.what();
-    }
-  }
-}
-
-TEST(ScopeqlRobustness, IntegerOverflowIsAnErrorNotUb) {
-  pingmesh::dsa::scopeql::Interpreter interp;
-  pingmesh::agent::RecordColumns records;
-  records.push_back(pingmesh::agent::LatencyRecord{});
-  EXPECT_THROW(
-      (void)interp.run("SELECT COUNT(*) FROM latency WHERE rtt < "
-                       "99999999999999999999999999999",
-                       records),
-      pingmesh::dsa::scopeql::QueryError);
-  EXPECT_THROW((void)interp.run(
-                   "SELECT COUNT(*) FROM latency WHERE timestamp < 9223372036854775807h",
-                   records),
-               pingmesh::dsa::scopeql::QueryError);
-  // Near the boundary is still fine: INT64_MAX itself lexes.
-  EXPECT_NO_THROW((void)interp.run(
-      "SELECT COUNT(*) FROM latency WHERE rtt < 9223372036854775807", records));
-}
-
-TEST(ScopeqlRobustness, ParenBombThrowsDepthErrorNotStackOverflow) {
-  pingmesh::dsa::scopeql::Interpreter interp;
-  pingmesh::agent::RecordColumns records;
-  records.push_back(pingmesh::agent::LatencyRecord{});
-  std::string query = "SELECT COUNT(*) FROM latency WHERE ";
-  for (int i = 0; i < 5000; ++i) query += '(';
-  query += '1';
-  for (int i = 0; i < 5000; ++i) query += ')';
-  query += " = 1";
-  try {
-    (void)interp.run(query, records);
-    FAIL() << "paren bomb parsed";
-  } catch (const pingmesh::dsa::scopeql::QueryError& e) {
-    EXPECT_NE(std::string(e.what()).find("depth"), std::string::npos) << e.what();
-  }
 }
 
 // --- cosmos_io -------------------------------------------------------------

@@ -132,12 +132,13 @@ banner "stage 5: fuzz smoke (${FUZZ_SECONDS}s per harness)"
 cmake -B build-fuzz -S . -DPINGMESH_FUZZ=ON >/dev/null
 cmake --build build-fuzz -j --target tools >/dev/null 2>&1 || cmake --build build-fuzz -j >/dev/null
 if ls build-fuzz/tools/fuzz/fuzz_* >/dev/null 2>&1; then
-  for harness in xml http scopeql cosmos_io chaos_plan extent_codec rollup_seg; do
+  # One harness per corpus directory (tools/fuzz/CMakeLists.txt).
+  for corpus in tests/corpus/*/; do
+    harness=$(basename "$corpus")
     bin="build-fuzz/tools/fuzz/fuzz_${harness}"
-    if [[ -x "$bin" ]]; then
-      echo "--- fuzz_${harness}"
-      "$bin" -max_total_time="$FUZZ_SECONDS" "tests/corpus/${harness}"
-    fi
+    [[ -x "$bin" ]] || { echo "missing $bin for $corpus"; exit 1; }
+    echo "--- fuzz_${harness}"
+    "$bin" -max_total_time="$FUZZ_SECONDS" "$corpus"
   done
 else
   echo "compiler lacks -fsanitize=fuzzer (gcc): fuzz smoke skipped;"

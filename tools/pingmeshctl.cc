@@ -13,11 +13,6 @@
 //       resolve and print the ECMP path a probe five-tuple takes
 //   pingmeshctl drops [--rounds N] [--seed S]
 //       print the per-DC intra/inter-pod drop-rate table
-//   pingmeshctl query --load FILE "SELECT ... FROM latency ..."
-//       run a ScopeQL query over an archived Cosmos store
-//       (e.g. "SELECT pod(src_ip), COUNT(*), P99(rtt), DROPRATE()
-//              FROM latency WHERE success GROUP BY pod(src_ip)
-//              ORDER BY DROPRATE DESC LIMIT 10")
 //   pingmeshctl query heatmap|sla|topk [--minutes M] [--sim-minutes M]
 //                    [--k N] [--metric p99|drop|failure] [--service NAME]
 //                    [--dc NAME] [--seed S]
@@ -50,11 +45,17 @@
 //       the HealingLoop attached, reporting MTTD/MTTR, false reloads,
 //       missed repairs and SLA before/after repair (exit 1 when a gate
 //       fails); --json prints the machine-readable report
+//
+// A malformed number (--hours abc, a negative index, a value out of range
+// for its type) is a usage error: the command exits 2 and names it.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,6 @@
 #include "dsa/cosmos_io.h"
 #include "dsa/report.h"
 #include "dsa/scan_cache.h"
-#include "dsa/scopeql.h"
 #include "heal/soak.h"
 #include "netsim/simnet.h"
 #include "serve/query_service.h"
@@ -78,6 +78,24 @@
 namespace {
 
 using namespace pingmesh;
+
+/// A malformed command-line value; main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// `text` as a T: the whole string must be one number in T's range, so a
+/// sign an unsigned T cannot hold or a value T would truncate is rejected.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw UsageError("invalid value for " + name + ": " + text);
+  }
+  return value;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -103,15 +121,16 @@ struct Args {
     auto it = flags.find(key);
     return it != flags.end() ? it->second : def;
   }
-  [[nodiscard]] long flag_int(const std::string& key, long def) const {
+  template <typename T>
+  [[nodiscard]] T flag_num(const std::string& key, T def) const {
     auto it = flags.find(key);
-    return it != flags.end() ? std::stol(it->second) : def;
+    return it != flags.end() ? parse_number<T>("--" + key, it->second) : def;
   }
 };
 
 topo::Topology build_topology(const Args& args) {
   std::string size = args.flag("size", "small");
-  int dcs = static_cast<int>(args.flag_int("dcs", 1));
+  int dcs = args.flag_num("dcs", 1);
   std::vector<topo::DcSpec> specs;
   for (int d = 0; d < dcs; ++d) {
     std::string name = "DC" + std::to_string(d + 1);
@@ -131,8 +150,8 @@ int cmd_pinglist(const Args& args) {
     std::fprintf(stderr, "usage: pingmeshctl pinglist <server-index> [--size ...]\n");
     return 2;
   }
+  auto index = parse_number<std::uint32_t>("<server-index>", args.positional[0]);
   topo::Topology topo = build_topology(args);
-  auto index = static_cast<std::uint32_t>(std::stoul(args.positional[0]));
   if (index >= topo.server_count()) {
     std::fprintf(stderr, "server index out of range (fleet has %zu servers)\n",
                  topo.server_count());
@@ -146,12 +165,12 @@ int cmd_pinglist(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  core::SimulationConfig cfg = core::small_test_config(
-      static_cast<std::uint64_t>(args.flag_int("seed", 42)));
+  core::SimulationConfig cfg =
+      core::small_test_config(args.flag_num<std::uint64_t>("seed", 42));
+  long hours_to_run = args.flag_num("hours", 2L);
   core::PingmeshSimulation sim(cfg);
   const auto& pod0 = sim.topology().pods()[0];
   sim.services().add_service("Search", pod0.servers);
-  long hours_to_run = args.flag_int("hours", 2);
   std::printf("simulating %ld hour(s) of %zu servers...\n", hours_to_run,
               sim.topology().server_count());
   // A little slack past the last window so the hourly SCOPE jobs fire.
@@ -208,7 +227,7 @@ int cmd_report(const Args& args) {
 
 int cmd_heatmap(const Args& args) {
   topo::Topology topo = build_topology(args);
-  netsim::SimNetwork net(topo, static_cast<std::uint64_t>(args.flag_int("seed", 8)));
+  netsim::SimNetwork net(topo, args.flag_num<std::uint64_t>("seed", 8));
   std::string scenario = args.flag("scenario", "normal");
   if (scenario == "podset-down") {
     net.faults().add_podset_down(topo.podsets()[0].id);
@@ -268,15 +287,16 @@ int cmd_traceroute(const Args& args) {
     std::fprintf(stderr, "usage: pingmeshctl traceroute <src-index> <dst-index>\n");
     return 2;
   }
+  auto src = parse_number<std::uint32_t>("<src-index>", args.positional[0]);
+  auto dst = parse_number<std::uint32_t>("<dst-index>", args.positional[1]);
+  auto port = args.flag_num<std::uint16_t>("port", 40000);
+  auto seed = args.flag_num<std::uint64_t>("seed", 1);
   topo::Topology topo = build_topology(args);
-  auto src = static_cast<std::uint32_t>(std::stoul(args.positional[0]));
-  auto dst = static_cast<std::uint32_t>(std::stoul(args.positional[1]));
   if (src >= topo.server_count() || dst >= topo.server_count()) {
     std::fprintf(stderr, "server index out of range\n");
     return 2;
   }
-  netsim::SimNetwork net(topo, static_cast<std::uint64_t>(args.flag_int("seed", 1)));
-  auto port = static_cast<std::uint16_t>(args.flag_int("port", 40000));
+  netsim::SimNetwork net(topo, seed);
   FiveTuple tuple{topo.server(ServerId{src}).ip, topo.server(ServerId{dst}).ip, port,
                   33100, 6};
   std::printf("traceroute %s -> %s (src port %u)\n",
@@ -294,18 +314,18 @@ int cmd_traceroute(const Args& args) {
 
 int cmd_drops(const Args& args) {
   topo::Topology topo = build_topology(args);
-  netsim::SimNetwork net(topo, static_cast<std::uint64_t>(args.flag_int("seed", 5)));
+  netsim::SimNetwork net(topo, args.flag_num<std::uint64_t>("seed", 5));
+  int rounds = args.flag_num("rounds", 20);
   controller::GeneratorConfig gcfg;
   gcfg.enable_inter_dc = false;
   controller::PinglistGenerator gen(topo, gcfg);
   core::FleetProbeDriver driver(topo, net, gen);
-  long rounds = args.flag_int("rounds", 20);
 
   struct Acc {
     agent::ProbeCounts intra, inter;
   };
   std::vector<Acc> acc(topo.dcs().size());
-  driver.run_dense(0, static_cast<int>(rounds), seconds(10),
+  driver.run_dense(0, rounds, seconds(10),
                    [&](const core::FleetProbe& p) {
                      if (!p.dst.valid()) return;
                      const topo::Server& s = topo.server(p.src);
@@ -326,7 +346,8 @@ int cmd_drops(const Args& args) {
 /// run, then answer one QueryService request from the materialized cells.
 int cmd_query_serve(const Args& args, const std::string& endpoint) {
   core::SimulationConfig cfg =
-      core::streaming_test_config(static_cast<std::uint64_t>(args.flag_int("seed", 42)));
+      core::streaming_test_config(args.flag_num<std::uint64_t>("seed", 42));
+  long sim_mins = args.flag_num("sim-minutes", 10L);
   core::PingmeshSimulation sim(cfg);
   const topo::Topology& topo = sim.topology();
   sim.services().add_service("Search", topo.pod(PodId{0}).servers);
@@ -339,7 +360,6 @@ int cmd_query_serve(const Args& args, const std::string& endpoint) {
   serve::RollupStore store(topo, &sim.services(), rcfg);
   sim.add_record_tap(&store);
 
-  long sim_mins = args.flag_int("sim-minutes", 10);
   std::fprintf(stderr, "simulating %ld minute(s) of %zu servers...\n", sim_mins,
                topo.server_count());
   sim.run_for(minutes(sim_mins));
@@ -368,48 +388,18 @@ int cmd_query(const Args& args) {
        args.positional[0] == "topk")) {
     return cmd_query_serve(args, args.positional[0]);
   }
-  std::string path = args.flag("load", "");
-  if (path.empty() || args.positional.empty()) {
-    std::fprintf(stderr,
-                 "usage: pingmeshctl query --load FILE \"SELECT ...\"\n"
-                 "       pingmeshctl query heatmap|sla|topk [--minutes M] [--k N]\n"
-                 "               [--metric p99|drop|failure] [--service NAME] [--dc NAME]\n");
-    return 2;
-  }
-  auto loaded = dsa::load_store(path);
-  if (!loaded) {
-    std::fprintf(stderr, "cannot load cosmos store from %s\n", path.c_str());
-    return 1;
-  }
-  const dsa::CosmosStream* stream = loaded->store.find(dsa::kLatencyStream);
-  if (stream == nullptr) {
-    std::fprintf(stderr, "no latency stream in the archive\n");
-    return 1;
-  }
-  SimTime last = 0;
-  for (const auto& e : stream->extents()) last = std::max(last, e.last_ts);
-  dsa::DecodedExtentCache cache;
-  const agent::RecordColumns records = dsa::scope::extract_records(*stream, 0, last + 1, cache);
-
-  topo::Topology topo = build_topology(args);
-  dsa::scopeql::Interpreter ql(&topo);
-  try {
-    auto result = ql.run(args.positional[0], records);
-    std::fputs(result.to_table().c_str(), stdout);
-    std::printf("(%zu rows over %zu records)\n", result.rows.size(), records.size());
-  } catch (const dsa::scopeql::QueryError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  return 0;
+  std::fprintf(stderr,
+               "usage: pingmeshctl query heatmap|sla|topk [--minutes M] [--k N]\n"
+               "               [--metric p99|drop|failure] [--service NAME] [--dc NAME]\n");
+  return 2;
 }
 
 int cmd_metrics(const Args& args) {
-  core::SimulationConfig cfg = core::observability_test_config(
-      static_cast<std::uint64_t>(args.flag_int("seed", 42)));
-  cfg.worker_threads = static_cast<int>(args.flag_int("workers", 1));
+  core::SimulationConfig cfg =
+      core::observability_test_config(args.flag_num<std::uint64_t>("seed", 42));
+  cfg.worker_threads = args.flag_num("workers", 1);
+  long mins = args.flag_num("minutes", 30L);
   core::PingmeshSimulation sim(cfg);
-  long mins = args.flag_int("minutes", 30);
 
   // --serve: attach the serving tier so its serve.* instruments register
   // and move (rollups from the uploader tap, a few QueryService calls).
@@ -451,14 +441,15 @@ int cmd_metrics(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  core::SimulationConfig cfg = core::observability_test_config(
-      static_cast<std::uint64_t>(args.flag_int("seed", 42)),
-      static_cast<std::uint64_t>(args.flag_int("sample", 64)));
+  auto sample = args.flag_num<std::uint64_t>("sample", 64);
+  core::SimulationConfig cfg =
+      core::observability_test_config(args.flag_num<std::uint64_t>("seed", 42), sample);
   cfg.observability.trace.ring_capacity = 1u << 18;
+  long mins = args.flag_num("minutes", 25L);
+  auto id = args.flag_num<std::uint64_t>("id", 0);
   core::PingmeshSimulation sim(cfg);
-  long mins = args.flag_int("minutes", 25);
-  std::fprintf(stderr, "simulating %ld minute(s), tracing 1-in-%ld records...\n",
-               mins, args.flag_int("sample", 64));
+  std::fprintf(stderr, "simulating %ld minute(s), tracing 1-in-%llu records...\n", mins,
+               static_cast<unsigned long long>(sample));
   sim.run_for(minutes(mins));
 
   const obs::TraceSink& sink = sim.observability()->sink();
@@ -466,7 +457,6 @@ int cmd_trace(const Args& args) {
               static_cast<unsigned long>(sink.spans_recorded()),
               static_cast<unsigned long>(sink.spans_dropped()),
               sink.trace_ids().size());
-  std::uint64_t id = static_cast<std::uint64_t>(args.flag_int("id", 0));
   if (id == 0) {
     auto ids = sink.trace_ids();
     if (ids.empty()) {
@@ -519,7 +509,7 @@ int cmd_chaos(const Args& args) {
     return 2;
   }
   chaos::ChaosRunOptions options;
-  options.worker_threads = static_cast<int>(args.flag_int("workers", 1));
+  options.worker_threads = args.flag_num("workers", 1);
   options.break_fail_closed = args.flag("break", "") == "fail-closed";
 
   const std::string& sub = args.positional[0];
@@ -550,13 +540,13 @@ int cmd_chaos(const Args& args) {
     return result.ok() ? 0 : 1;
   }
   if (sub == "random") {
-    auto seed = static_cast<std::uint64_t>(args.flag_int("seed", 1));
+    auto seed = args.flag_num<std::uint64_t>("seed", 1);
     std::fputs(chaos::to_text(chaos::generate_random_plan(seed)).c_str(), stdout);
     return 0;
   }
   if (sub == "hunt") {
-    auto start = static_cast<std::uint64_t>(args.flag_int("start-seed", 1));
-    int attempts = static_cast<int>(args.flag_int("seeds", 20));
+    auto start = args.flag_num<std::uint64_t>("start-seed", 1);
+    int attempts = args.flag_num("seeds", 20);
     std::fprintf(stderr, "hunting: %d random plan(s) from seed %llu...\n", attempts,
                  static_cast<unsigned long long>(start));
     chaos::HuntResult hunt = chaos::hunt(start, attempts, options);
@@ -579,12 +569,13 @@ int cmd_chaos(const Args& args) {
 
 int cmd_soak(const Args& args) {
   heal::SoakConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(args.flag_int("seed", 7));
-  cfg.episodes = static_cast<int>(args.flag_int("episodes", 4));
-  cfg.episode_duration = minutes(args.flag_int("minutes", 30));
-  cfg.worker_threads = static_cast<int>(args.flag_int("workers", 1));
+  cfg.seed = args.flag_num<std::uint64_t>("seed", 7);
+  cfg.episodes = args.flag_num("episodes", 4);
+  long mins = args.flag_num("minutes", 30L);
+  cfg.episode_duration = minutes(mins);
+  cfg.worker_threads = args.flag_num("workers", 1);
   std::fprintf(stderr, "soaking: %d episode(s) x %ld sim-minute(s), seed %llu (workers=%d)...\n",
-               cfg.episodes, args.flag_int("minutes", 30),
+               cfg.episodes, mins,
                static_cast<unsigned long long>(cfg.seed), cfg.worker_threads);
   heal::SoakReport report = heal::run_soak(cfg);
   std::fputs(args.flag("json", "") == "true" ? report.to_json().c_str()
@@ -612,17 +603,22 @@ int main(int argc, char** argv) {
   }
   Args args = Args::parse(argc, argv);
   std::string cmd = argv[1];
-  if (cmd == "pinglist") return cmd_pinglist(args);
-  if (cmd == "simulate") return cmd_simulate(args);
-  if (cmd == "report") return cmd_report(args);
-  if (cmd == "heatmap") return cmd_heatmap(args);
-  if (cmd == "traceroute") return cmd_traceroute(args);
-  if (cmd == "drops") return cmd_drops(args);
-  if (cmd == "query") return cmd_query(args);
-  if (cmd == "metrics") return cmd_metrics(args);
-  if (cmd == "trace") return cmd_trace(args);
-  if (cmd == "chaos") return cmd_chaos(args);
-  if (cmd == "soak") return cmd_soak(args);
+  try {
+    if (cmd == "pinglist") return cmd_pinglist(args);
+    if (cmd == "simulate") return cmd_simulate(args);
+    if (cmd == "report") return cmd_report(args);
+    if (cmd == "heatmap") return cmd_heatmap(args);
+    if (cmd == "traceroute") return cmd_traceroute(args);
+    if (cmd == "drops") return cmd_drops(args);
+    if (cmd == "query") return cmd_query(args);
+    if (cmd == "metrics") return cmd_metrics(args);
+    if (cmd == "trace") return cmd_trace(args);
+    if (cmd == "chaos") return cmd_chaos(args);
+    if (cmd == "soak") return cmd_soak(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "pingmeshctl: %s\n", e.what());
+    return 2;
+  }
   usage();
   return 2;
 }
