@@ -21,7 +21,11 @@
 //    blackhole shape (deterministic SYN loss produces failures, not
 //    retransmit signatures). Judged against the pair's lifetime
 //    last-success time, not the windowed success count, so detection does
-//    not wait for pre-fault successes to age out of the ring;
+//    not wait for pre-fault successes to age out of the ring. Silence must
+//    be seen in the data: a probe measured after the last success has to
+//    have arrived. A pair whose newest record is a success is waiting on
+//    its next upload, not silent — agents upload once a minute on
+//    default_config, twice the grace;
 //  - failure rate: a sustained fraction of connects failing outright —
 //    the *partial* blackhole shape (a corrupted-TCAM fraction < 1 kills a
 //    subset of server pairs 100% while the rest of the pod pair stays
@@ -36,6 +40,12 @@
 // it — a persistent fault yields exactly one AlertRow, not one per
 // evaluation (shared open-alert registry in dsa::Database; the PA path uses
 // the same registry).
+//
+// Cost: an evaluation walks every live pair (~2,200 on default_config), and
+// nearly all of them are clean. A pair's scope string is built once, an
+// alert's message only when its row is written, and the string-keyed
+// registry is touched only to open a rule or to close one this detector
+// holds open.
 #pragma once
 
 #include <cstdint>
@@ -75,19 +85,22 @@ class OnlineDetector {
   };
 
   struct PairTrack {
+    std::string scope;  ///< "pair <src-tor>-><dst-tor>", built on first sight
     double p50_baseline = 0.0;
     bool baseline_init = false;
     int breach_streak[kRuleCount] = {};
     int clean_streak[kRuleCount] = {};
+    bool open[kRuleCount] = {};  ///< this detector holds (scope, rule) open
   };
 
   static const char* rule_name(Rule r);
   [[nodiscard]] std::string pair_scope(PodId src, PodId dst) const;
-  /// Advance one rule's hysteresis; fires/clears through the database's
-  /// open-alert registry. Returns 1 if an alert was newly opened.
-  int step_rule(PairTrack& track, Rule rule, bool breach, const std::string& scope,
-                dsa::AlertSeverity severity, double value, const std::string& message,
-                SimTime now);
+  /// Advance one rule's hysteresis; opens/closes through the database's
+  /// open-alert registry. True when the rule opened this evaluation: the
+  /// caller then writes its row with write_alert.
+  bool step_rule(PairTrack& track, Rule rule, bool breach, SimTime now);
+  void write_alert(const PairTrack& track, Rule rule, dsa::AlertSeverity severity,
+                   double value, std::string message, SimTime now);
 
   const topo::Topology* topo_;
   dsa::Database* db_;

@@ -4,9 +4,14 @@
 // identity, the budget-exhaustion and day-rollover paths of the deferred
 // reload queue, and the PR-4 / PR-9 chaos scenarios re-run with healing
 // enabled to show repairs never fight SLB or serving-tier recovery.
+// The upload-cadence case runs a healthy fleet whose uploads are at least
+// the silent-pair grace apart: it must stay quiet until its fault.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "chaos/engine.h"
 #include "chaos/injector.h"
@@ -16,6 +21,7 @@
 #include "core/simulation.h"
 #include "heal/loop.h"
 #include "heal/soak.h"
+#include "netsim/fault.h"
 #include "topology/topology.h"
 
 namespace pingmesh::heal {
@@ -181,6 +187,82 @@ TEST(HealLoop, TransientCongestionGetsNoRepair) {
         << "congestion produced repair action " << incident_action_name(inc.action);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Upload cadence: a healthy fleet between uploads must not page
+// ---------------------------------------------------------------------------
+
+struct CadenceRun {
+  std::vector<std::string> alerts;     ///< every alert row, in write order
+  std::vector<std::string> incidents;  ///< Incident::to_line, in id order
+  std::size_t stream_rows_before_fault = 0;
+  std::uint64_t triggers_before_fault = 0;
+  std::vector<Incident> kept;  ///< incidents that did not expire
+  SwitchId tor;
+};
+
+/// small_test_config (seed 7) with streaming and heal on, uploading every
+/// `upload_interval`, run to 25 min; pod 3's ToR black-holes every pair
+/// from 15 min on.
+CadenceRun run_cadence(SimTime upload_interval, int workers) {
+  core::SimulationConfig cfg = core::small_test_config(7);
+  cfg.agent.upload_interval = upload_interval;
+  cfg.streaming.enabled = true;
+  cfg.worker_threads = workers;
+  core::PingmeshSimulation sim(cfg);
+  CadenceRun out;
+  out.tor = sim.topology().pod(PodId{3}).tor;
+  sim.faults().add_blackhole(out.tor, netsim::BlackholeMode::kSrcDstPair, 1.0, minutes(15));
+  HealingLoop loop(sim);
+  loop.attach();
+
+  sim.run_until(minutes(15) - 1);
+  out.triggers_before_fault = loop.triggers_seen();
+  sim.run_until(minutes(25));
+
+  for (const dsa::AlertRow& a : sim.db().alerts) {
+    if (a.time < minutes(15) && a.rule.rfind("stream:", 0) == 0) ++out.stream_rows_before_fault;
+    char value[32];
+    std::snprintf(value, sizeof(value), "%.17g", a.value);
+    out.alerts.push_back(std::to_string(a.time) + " " + a.rule + " " + a.scope + " " + value +
+                         " " + a.message);
+  }
+  for (const Incident& inc : loop.incidents()) {
+    out.incidents.push_back(inc.to_line());
+    if (inc.state != IncidentState::kExpired) out.kept.push_back(inc);
+  }
+  return out;
+}
+
+class UploadCadenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UploadCadenceTest, HealthyFleetStaysQuietAndBlackholeIsReloaded) {
+  // default_config uploads once a minute, twice the silent-pair grace, and
+  // small_test_config every 30 s, equal to it. Either way a healthy pair's
+  // newest success is often 30 s old or more when an evaluation runs: it is
+  // waiting on an upload, not silent. Nothing may page before the fault,
+  // and the fault must come out as one reload of the black-holed ToR whose
+  // alerts all close again, which needs clean evaluations in a row.
+  const SimTime upload = seconds(GetParam());
+  CadenceRun serial = run_cadence(upload, 1);
+  EXPECT_EQ(serial.stream_rows_before_fault, 0u);
+  EXPECT_EQ(serial.triggers_before_fault, 0u);
+  ASSERT_EQ(serial.kept.size(), 1u);
+  const Incident& inc = serial.kept[0];
+  EXPECT_EQ(inc.action, IncidentAction::kReload);
+  EXPECT_EQ(inc.sw, serial.tor);
+  EXPECT_GE(inc.detect, minutes(15));
+  EXPECT_EQ(inc.state, IncidentState::kRecovered) << inc.to_line();
+
+  CadenceRun sharded = run_cadence(upload, 4);
+  EXPECT_EQ(serial.alerts, sharded.alerts);
+  EXPECT_EQ(serial.incidents, sharded.incidents);
+}
+
+INSTANTIATE_TEST_SUITE_P(UploadSeconds, UploadCadenceTest, ::testing::Values(60, 30),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Every" + std::to_string(info.param) + "s";
+                         });
 
 // ---------------------------------------------------------------------------
 // Reload budget: exhaustion surfaces deferred repairs, rollover executes them

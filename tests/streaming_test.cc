@@ -317,6 +317,78 @@ TEST_F(DetectorTest, SilentPairWaitsForGracePeriodAfterLastSuccess) {
   EXPECT_EQ(silent[0].time, seconds(50));
 }
 
+TEST_F(DetectorTest, HealthyPairBetweenUploadsStaysQuiet) {
+  // An agent uploading once a minute leaves a healthy pair's newest record
+  // a success for up to a minute, well past the 30 s grace. Nothing in the
+  // data says the pair went quiet, so nothing may page.
+  fill(0, 1, 0, 'c');  // last success ~7.7s, and no record after it
+  for (int t = 10; t <= 60; t += 10) {
+    det_.evaluate(agg_, seconds(t));
+    EXPECT_TRUE(alerts_for("stream:silent_pair").empty()) << "t=" << t;
+  }
+  EXPECT_EQ(det_.alerts_opened(), 0u);
+  EXPECT_EQ(db_.alerts.size(), 0u);
+}
+
+TEST_F(DetectorTest, AlertRowsCarryPairScopeAndRuleMessage) {
+  // One pair per rule, each breaching from its first windows and clean
+  // after. Rows come out in evaluation order, and within an evaluation in
+  // (src, dst) then rule order; heal parses the scope back into the pod
+  // pair. The pair that goes silent after one clean window first crosses
+  // the failure-rate bar, before its 30 s grace is over: fail_rate owns it
+  // until silent_pair takes over.
+  for (int w = 0; w <= 14; ++w) {
+    fill(0, 1, w, w < 4 ? 'b' : 'c');               // drop_spike
+    fill(0, 2, w, w < 4 ? 'p' : 'c');               // fail_rate
+    fill(0, 3, w, w == 0 || w > 4 ? 'c' : 'f');     // fail_rate, then silent_pair
+    fill(1, 0, w, w >= 6 && w <= 9 ? 's' : 'c');    // latency_boost
+    det_.evaluate(agg_, seconds(10 * (w + 1)));
+  }
+  struct Expected {
+    SimTime time;
+    const char* rule;
+    const char* scope;
+    dsa::AlertSeverity severity;
+    double value;
+    const char* message;
+  };
+  const Expected expected[] = {
+      {seconds(20), "stream:drop_spike", "pair DC1-PS0-T0->DC1-PS0-T1",
+       dsa::AlertSeverity::kCritical, 8.0 / 24.0, "drop rate 3.33e-01 over live window"},
+      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T2",
+       dsa::AlertSeverity::kCritical, 12.0 / 36.0,
+       "connect failure rate 3.33e-01 (12/36 probes) over live window"},
+      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T3",
+       dsa::AlertSeverity::kCritical, 24.0 / 36.0,
+       "connect failure rate 6.67e-01 (24/36 probes) over live window"},
+      {seconds(50), "stream:silent_pair", "pair DC1-PS0-T0->DC1-PS0-T3",
+       dsa::AlertSeverity::kCritical, 48.0 / 60.0,
+       "no successful probe since 7.700000s (60 probes in live window)"},
+      {seconds(100), "stream:latency_boost", "pair DC1-PS0-T1->DC1-PS0-T0",
+       dsa::AlertSeverity::kWarning, 4920343.0, "P50 4.92ms vs baseline 200us"},
+  };
+  std::string written;
+  for (const dsa::AlertRow& a : db_.alerts) {
+    written += std::to_string(to_seconds(a.time)) + "s " + a.rule + " " + a.scope + " " +
+               std::to_string(a.value) + ": " + a.message + "\n";
+  }
+  SCOPED_TRACE(written);
+  ASSERT_EQ(db_.alerts.size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const dsa::AlertRow& a = db_.alerts[i];
+    EXPECT_EQ(a.time, expected[i].time);
+    EXPECT_EQ(a.rule, expected[i].rule);
+    EXPECT_EQ(a.scope, expected[i].scope);
+    EXPECT_EQ(a.severity, expected[i].severity);
+    EXPECT_DOUBLE_EQ(a.value, expected[i].value);
+    EXPECT_EQ(a.message, expected[i].message);
+  }
+  // By t=150 every pair has been clean for three evaluations: all closed.
+  EXPECT_EQ(det_.alerts_opened(), 5u);
+  EXPECT_EQ(det_.alerts_closed(), 5u);
+  EXPECT_EQ(db_.open_alert_count(), 0u);
+}
+
 TEST_F(DetectorTest, LatencyBoostAgainstFrozenBaseline) {
   for (int w = 0; w <= 5; ++w) {
     fill(1, 0, w, 'c');  // establish ~200us baseline

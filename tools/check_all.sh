@@ -74,12 +74,14 @@ banner "stage 2b: observability smoke"
   || { echo "pingmeshctl trace lost the data-path spans"; exit 1; }
 
 # --- 2c. chaos replay smoke --------------------------------------------------
-# A scripted plan from the corpus must replay clean (all invariants OK).
+# Every valid scripted plan in the corpus must replay clean (all invariants
+# OK; pingmeshctl exits 1 on a violation).
 banner "stage 2c: chaos replay smoke"
-./build/tools/pingmeshctl chaos run \
-  --plan tests/corpus/chaos_plan/valid_open_ended.plan 2>/dev/null \
-  | grep -q 'record-conservation: OK' \
-  || { echo "chaos replay violated an invariant"; exit 1; }
+for plan in tests/corpus/chaos_plan/valid_*.plan; do
+  ./build/tools/pingmeshctl chaos run --plan "$plan" 2>/dev/null \
+    | grep -q 'record-conservation: OK' \
+    || { echo "chaos replay of $plan violated an invariant"; exit 1; }
+done
 
 # --- 2d. self-healing soak smoke ---------------------------------------------
 # Closed-loop detection -> blame -> repair on the fixed CI seed (~2 sim-
