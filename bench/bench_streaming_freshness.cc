@@ -1,6 +1,6 @@
 // Detection-latency comparison of the three data paths (DESIGN.md §8):
 //
-//   streaming  — upload-time tap -> sliding windows -> online detector
+//   streaming  — upload-time tap -> sliding windows -> alert rules
 //   PA         — 5-minute Perfcounter Aggregator fast path (§3.5)
 //   batch      — 10-min SCOPE pod-pair job behind the Cosmos ingestion
 //                delay (paper end-to-end freshness "around 20 minutes")

@@ -122,6 +122,28 @@ struct ProbeStats : ProbeCounts {
   }
 };
 
+/// Counters and percentiles of a merged ProbeStats over [window_start,
+/// window_end): one pod pair's or one service's live window or rollup
+/// range, as the streaming path and the serving tier report it.
+struct WindowStats : ProbeCounts {
+  SimTime window_start = 0;
+  SimTime window_end = 0;
+  std::int64_t p50_ns = 0;
+  std::int64_t p99_ns = 0;
+  std::int64_t p999_ns = 0;
+
+  [[nodiscard]] static WindowStats of(const ProbeStats& merged, SimTime start, SimTime end) {
+    WindowStats out;
+    static_cast<ProbeCounts&>(out) = merged;
+    out.window_start = start;
+    out.window_end = end;
+    out.p50_ns = merged.latency.p50();
+    out.p99_ns = merged.latency.p99();
+    out.p999_ns = merged.latency.p999();
+    return out;
+  }
+};
+
 /// One window of an agent's counters.
 struct CounterSnapshot : ProbeStats {
   SimTime window_start = 0;

@@ -113,20 +113,18 @@ InvariantFinding check_streaming_batch(const core::PingmeshSimulation& sim) {
   const streaming::StreamingPipeline* p = sim.streaming();
   if (p == nullptr) return not_applicable("streaming-batch", "streaming disabled");
   FleetTotals t = collect_totals(sim);
-  const auto& w = p->windows();
-  std::uint64_t tapped = w.records_ingested() + w.records_skipped() + w.late_dropped();
+  const streaming::StreamingPipeline::Ledger& w = p->ledger();
+  std::uint64_t tapped = w.ingested + w.skipped + w.late;
   if (tapped != t.records_uploaded) {
     return make("streaming-batch", false,
                 "tap saw " + std::to_string(tapped) + " records (ingested " +
-                    std::to_string(w.records_ingested()) + " + skipped " +
-                    std::to_string(w.records_skipped()) + " + late " +
-                    std::to_string(w.late_dropped()) + ") but agents uploaded " +
-                    std::to_string(t.records_uploaded));
+                    std::to_string(w.ingested) + " + skipped " +
+                    std::to_string(w.skipped) + " + late " + std::to_string(w.late) +
+                    ") but agents uploaded " + std::to_string(t.records_uploaded));
   }
   return make("streaming-batch", true,
-              "ingested=" + std::to_string(w.records_ingested()) +
-                  " skipped=" + std::to_string(w.records_skipped()) +
-                  " late=" + std::to_string(w.late_dropped()));
+              "ingested=" + std::to_string(w.ingested) + " skipped=" +
+                  std::to_string(w.skipped) + " late=" + std::to_string(w.late));
 }
 
 /// The lone network-fault event of `plan` targeting a ToR, if the plan has

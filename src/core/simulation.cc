@@ -48,7 +48,7 @@ PingmeshSimulation::PingmeshSimulation(SimulationConfig config)
 
   if (config_.streaming.enabled) {
     // The tap runs in the serial upload-drain phase of tick_agents and the
-    // detector on its own scheduler event, so the whole streaming path is
+    // rules on their own scheduler event, so the whole streaming path is
     // driver-thread-only regardless of worker_threads (DESIGN.md §7).
     streaming_ = std::make_unique<streaming::StreamingPipeline>(topo_, db_,
                                                                 config_.streaming);
@@ -128,7 +128,7 @@ void PingmeshSimulation::wire_observability() {
   jobs_.enable_observability(reg, tracer);
   scan_cache_.set_observability(tracer, &scheduler_.clock());
   for (auto& ag : agents_) ag->enable_observability(reg, tracer);
-  if (streaming_) streaming_->set_tracer(tracer);
+  if (streaming_) streaming_->enable_observability(reg, tracer);
 
   // Polled gauges over components that must stay obs-free (common/ is a
   // lower layer than obs) or that already keep their own counters.
@@ -160,32 +160,6 @@ void PingmeshSimulation::wire_observability() {
                [this] { return static_cast<double>(scan_cache_.size()); });
   reg.gauge_fn("dsa.decode_rows_dropped_total", "",
                [this] { return static_cast<double>(scan_cache_.rows_dropped()); });
-  if (streaming_) {
-    reg.gauge_fn("streaming.records_ingested_total", "", [this] {
-      return static_cast<double>(streaming_->windows().records_ingested());
-    });
-    reg.gauge_fn("streaming.records_skipped_total", "", [this] {
-      return static_cast<double>(streaming_->windows().records_skipped());
-    });
-    reg.gauge_fn("streaming.late_dropped_total", "", [this] {
-      return static_cast<double>(streaming_->windows().late_dropped());
-    });
-    reg.gauge_fn("streaming.window_expiries_total", "", [this] {
-      return static_cast<double>(streaming_->windows().window_expiries());
-    });
-    reg.gauge_fn("streaming.pair_count", "", [this] {
-      return static_cast<double>(streaming_->windows().pair_count());
-    });
-    reg.gauge_fn("streaming.evaluations_total", "", [this] {
-      return static_cast<double>(streaming_->detector().evaluations());
-    });
-    reg.gauge_fn("streaming.alerts_opened_total", "", [this] {
-      return static_cast<double>(streaming_->detector().alerts_opened());
-    });
-    reg.gauge_fn("streaming.alerts_closed_total", "", [this] {
-      return static_cast<double>(streaming_->detector().alerts_closed());
-    });
-  }
 }
 
 void PingmeshSimulation::set_controller_replica_up(std::size_t replica, bool up) {

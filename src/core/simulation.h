@@ -58,7 +58,7 @@ struct SimulationConfig {
   bool include_server_sla_rows = false;
   dsa::AlertThresholds thresholds;
   /// Near-real-time analytics path (off by default): taps record batches at
-  /// upload time into sliding windows + the online detector (DESIGN.md §8).
+  /// upload time into sliding windows and alerts on them (DESIGN.md §8).
   streaming::StreamingConfig streaming;
   /// Fleet-wide observability (off by default): the shared MetricsRegistry
   /// plus the sampled data-path tracer (DESIGN.md §10). Zero overhead when

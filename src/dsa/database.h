@@ -79,6 +79,8 @@ struct AlertRow {
   AlertSeverity severity = AlertSeverity::kWarning;
   std::string rule;     ///< e.g. "drop_rate>1e-3"
   std::string scope;    ///< human-readable scope ("pod DC1-PS0-P3", "service Search")
+  PodId src_pod;        ///< a pod-pair alert's pair (streaming); invalid otherwise
+  PodId dst_pod;
   double value = 0.0;
   std::string message;
 };

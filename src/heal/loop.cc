@@ -6,14 +6,11 @@
 #include <set>
 
 #include "obs/observability.h"
+#include "streaming/pipeline.h"
 
 namespace pingmesh::heal {
 
 namespace {
-
-constexpr const char* kSilentPairRule = "stream:silent_pair";
-constexpr const char* kFailRateRule = "stream:fail_rate";
-constexpr const char* kDropSpikeRule = "stream:drop_spike";
 
 /// Record window handed to the batch localizers at corroboration time.
 constexpr SimTime kCorroborateLookback = minutes(5);
@@ -35,7 +32,7 @@ constexpr int kMinRecentFailures = 2;
 constexpr SimTime kSlaPostWindow = minutes(4);
 
 bool blackhole_shaped(const std::string& rule) {
-  return rule == kSilentPairRule || rule == kFailRateRule;
+  return rule == streaming::kSilentPairRule || rule == streaming::kFailRateRule;
 }
 
 std::string format_rate2(double r) {
@@ -85,12 +82,7 @@ std::string Incident::to_line() const {
   return out;
 }
 
-HealingLoop::HealingLoop(core::PingmeshSimulation& sim) : sim_(&sim) {
-  const topo::Topology& topo = sim.topology();
-  for (const topo::Pod& pod : topo.pods()) {
-    pod_by_tor_name_[topo.sw(pod.tor).name] = pod.id;
-  }
-}
+HealingLoop::HealingLoop(core::PingmeshSimulation& sim) : sim_(&sim) {}
 
 void HealingLoop::attach() {
   sim_->scheduler().schedule_every(config_.poll_period, [this](SimTime now) {
@@ -108,22 +100,8 @@ void HealingLoop::tick(SimTime now) {
   finish_sla(now);
 }
 
-std::optional<std::pair<PodId, PodId>> HealingLoop::parse_pair_scope(
-    const std::string& scope) const {
-  // OnlineDetector scopes pair alerts as "pair <src-tor-name>-><dst-tor-name>".
-  constexpr std::string_view kPrefix = "pair ";
-  if (scope.rfind(kPrefix, 0) != 0) return std::nullopt;
-  std::string_view rest = std::string_view(scope).substr(kPrefix.size());
-  std::size_t arrow = rest.find("->");
-  if (arrow == std::string_view::npos) return std::nullopt;
-  auto src = pod_by_tor_name_.find(std::string(rest.substr(0, arrow)));
-  auto dst = pod_by_tor_name_.find(std::string(rest.substr(arrow + 2)));
-  if (src == pod_by_tor_name_.end() || dst == pod_by_tor_name_.end()) return std::nullopt;
-  return std::make_pair(src->second, dst->second);
-}
-
 bool HealingLoop::trigger_absorbed(const std::string& scope, const std::string& rule) const {
-  for (const PendingTrigger& p : pending_) {
+  for (const Trigger& p : pending_) {
     if (p.scope == scope && p.rule == rule) return true;
   }
   // An alert row re-opened for a scope already folded into a live incident
@@ -132,8 +110,8 @@ bool HealingLoop::trigger_absorbed(const std::string& scope, const std::string& 
     if (inc.state == IncidentState::kRecovered || inc.state == IncidentState::kExpired) {
       continue;
     }
-    for (const auto& [s, r] : inc.triggers) {
-      if (s == scope && r == rule) return true;
+    for (const Trigger& t : inc.triggers) {
+      if (t.scope == scope && t.rule == rule) return true;
     }
   }
   return false;
@@ -145,17 +123,9 @@ void HealingLoop::drain_alerts(SimTime now) {
   obs::Observability* obs = sim_->observability();
   for (; alert_hw_ < alerts.size(); ++alert_hw_) {
     const dsa::AlertRow& row = alerts[alert_hw_];
-    if (!blackhole_shaped(row.rule) && row.rule != kDropSpikeRule) continue;
+    if (!blackhole_shaped(row.rule) && row.rule != streaming::kDropSpikeRule) continue;
     if (trigger_absorbed(row.scope, row.rule)) continue;
-    PendingTrigger t;
-    t.scope = row.scope;
-    t.rule = row.rule;
-    t.first_seen = row.time;
-    if (auto pods = parse_pair_scope(row.scope)) {
-      t.src = pods->first;
-      t.dst = pods->second;
-    }
-    pending_.push_back(std::move(t));
+    pending_.push_back(Trigger{row.scope, row.rule, row.src_pod, row.dst_pod, row.time});
     ++triggers_seen_;
     if (obs != nullptr) obs->metrics().counter("heal.triggers_total").inc();
   }
@@ -185,11 +155,10 @@ PodId HealingLoop::pod_of(IpAddr ip) const {
 double HealingLoop::pair_success_rate(const Incident& inc,
                                       const agent::RecordColumns& records) const {
   std::set<std::uint32_t> pods;
-  for (const auto& [scope, rule] : inc.triggers) {
-    (void)rule;
-    if (auto pp = parse_pair_scope(scope)) {
-      pods.insert(pp->first.value);
-      pods.insert(pp->second.value);
+  for (const Trigger& t : inc.triggers) {
+    if (t.src.valid() && t.dst.valid()) {
+      pods.insert(t.src.value);
+      pods.insert(t.dst.value);
     }
   }
   if (pods.empty()) return -1.0;
@@ -221,18 +190,15 @@ bool HealingLoop::symptom_current(PodId pod, const agent::RecordColumns& records
 }
 
 Incident& HealingLoop::open_incident(IncidentState state, IncidentAction action,
-                                                  std::vector<PendingTrigger> matched,
-                                                  SimTime now) {
+                                     std::vector<Trigger> matched, SimTime now) {
   Incident inc;
   inc.id = incidents_.size() + 1;
   inc.state = state;
   inc.action = action;
   inc.corroborate = now;
   inc.detect = now;
-  for (const PendingTrigger& t : matched) {
-    inc.detect = std::min(inc.detect, t.first_seen);
-    inc.triggers.emplace_back(t.scope, t.rule);
-  }
+  for (const Trigger& t : matched) inc.detect = std::min(inc.detect, t.first_seen);
+  inc.triggers = std::move(matched);
   incidents_.push_back(std::move(inc));
   obs::Observability* obs = sim_->observability();
   if (obs != nullptr) obs->metrics().counter("heal.incidents_total").inc();
@@ -248,16 +214,16 @@ void HealingLoop::corroborate(SimTime now) {
 
   bool any_blackhole = false;
   bool any_dropspike = false;
-  for (const PendingTrigger& t : pending_) {
+  for (const Trigger& t : pending_) {
     if (blackhole_shaped(t.rule)) any_blackhole = true;
-    if (t.rule == kDropSpikeRule) any_dropspike = true;
+    if (t.rule == streaming::kDropSpikeRule) any_dropspike = true;
   }
 
   // Consume matched pending triggers; survivors stay for the next tick.
   auto take_matching = [this](auto&& pred) {
-    std::vector<PendingTrigger> matched;
-    std::vector<PendingTrigger> rest;
-    for (PendingTrigger& t : pending_) {
+    std::vector<Trigger> matched;
+    std::vector<Trigger> rest;
+    for (Trigger& t : pending_) {
       if (pred(t)) matched.push_back(std::move(t));
       else rest.push_back(std::move(t));
     }
@@ -277,7 +243,7 @@ void HealingLoop::corroborate(SimTime now) {
       // act while the symptom is current; stale triggers stay pending and
       // expire at the deadline.
       if (!symptom_current(cand.pod, records, now)) continue;
-      auto matched = take_matching([&](const PendingTrigger& t) {
+      auto matched = take_matching([&](const Trigger& t) {
         return blackhole_shaped(t.rule) && (t.src == cand.pod || t.dst == cand.pod);
       });
       if (matched.empty()) continue;  // batch candidate without a streaming trigger
@@ -300,7 +266,7 @@ void HealingLoop::corroborate(SimTime now) {
         }
       }
       if (live != nullptr) {
-        for (const PendingTrigger& t : matched) live->triggers.emplace_back(t.scope, t.rule);
+        live->triggers.insert(live->triggers.end(), matched.begin(), matched.end());
         if (live->state == IncidentState::kRepaired && live->action == IncidentAction::kReload &&
             !live->escalated_rma && now - live->repair >= kReloadCooldown) {
           sim_->repair().isolate_and_rma(
@@ -338,7 +304,7 @@ void HealingLoop::corroborate(SimTime now) {
     for (PodsetId ps : report.escalations) escalations.push_back(ps.value);
     std::sort(escalations.begin(), escalations.end());
     for (std::uint32_t ps : escalations) {
-      auto matched = take_matching([&](const PendingTrigger& t) {
+      auto matched = take_matching([&](const Trigger& t) {
         if (!blackhole_shaped(t.rule)) return false;
         bool src_in = t.src.valid() && topo.pod(t.src).podset.value == ps;
         bool dst_in = t.dst.valid() && topo.pod(t.dst).podset.value == ps;
@@ -357,7 +323,7 @@ void HealingLoop::corroborate(SimTime now) {
         analysis::localize_silent_drops(records, topo, sim_->net(), now);
     if (report.culprit.valid() && report.culprit_loss >= analysis::kCulpritMinLoss) {
       auto matched = take_matching(
-          [&](const PendingTrigger& t) { return t.rule == kDropSpikeRule; });
+          [&](const Trigger& t) { return t.rule == streaming::kDropSpikeRule; });
       Incident* live = nullptr;
       for (Incident& inc : incidents_) {
         if (inc.sw == report.culprit && inc.action == IncidentAction::kIsolateRma &&
@@ -367,7 +333,7 @@ void HealingLoop::corroborate(SimTime now) {
         }
       }
       if (live != nullptr) {
-        for (const PendingTrigger& t : matched) live->triggers.emplace_back(t.scope, t.rule);
+        live->triggers.insert(live->triggers.end(), matched.begin(), matched.end());
       } else if (!matched.empty()) {
         Incident& inc = open_incident(IncidentState::kCorroborated, IncidentAction::kIsolateRma,
                                       std::move(matched), now);
@@ -387,9 +353,9 @@ void HealingLoop::corroborate(SimTime now) {
 }
 
 void HealingLoop::expire_pending(SimTime now) {
-  std::vector<PendingTrigger> expired;
-  std::vector<PendingTrigger> rest;
-  for (PendingTrigger& t : pending_) {
+  std::vector<Trigger> expired;
+  std::vector<Trigger> rest;
+  for (Trigger& t : pending_) {
     if (now - t.first_seen >= kCorroborateDeadline) expired.push_back(std::move(t));
     else rest.push_back(std::move(t));
   }
@@ -409,8 +375,8 @@ void HealingLoop::check_recovery(SimTime now) {
   for (Incident& inc : incidents_) {
     if (inc.state != IncidentState::kRepaired) continue;
     bool all_closed = true;
-    for (const auto& [scope, rule] : inc.triggers) {
-      if (db.alert_open(scope, rule)) {
+    for (const Trigger& t : inc.triggers) {
+      if (db.alert_open(t.scope, t.rule)) {
         all_closed = false;
         break;
       }

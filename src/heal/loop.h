@@ -2,9 +2,11 @@
 //
 //   streaming detection -> batch corroboration -> blame -> repair -> verify
 //
-// The OnlineDetector (streaming fast path) opens `stream:*` alerts within
-// tens of seconds of a fault; the loop treats each as a *trigger*, never as
-// blame. Before any repair fires, the trigger must be corroborated by the
+// The StreamingPipeline's rules (the streaming fast path) open `stream:*`
+// alerts within tens of seconds of a fault; the loop treats each as a
+// *trigger*, never as blame. A streaming alert row names its pod pair, and
+// the trigger keeps that pair to match against the localizers' blame.
+// Before any repair fires, the trigger must be corroborated by the
 // batch-path localizer over raw records — detect_blackholes' greedy
 // set-cover for black-hole-shaped triggers (silent_pair / fail_rate),
 // localize_silent_drops' traceroute pinpointing for drop-rate spikes. Only a
@@ -33,10 +35,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/blackhole.h"
@@ -64,6 +63,16 @@ enum class IncidentAction : std::uint8_t { kNone, kReload, kIsolateRma, kEscalat
 const char* incident_state_name(IncidentState s);
 const char* incident_action_name(IncidentAction a);
 
+/// A streaming alert the loop acts on: its open-alert key (scope, rule),
+/// the pod pair the row names, and when it opened.
+struct Trigger {
+  std::string scope;
+  std::string rule;
+  PodId src;
+  PodId dst;
+  SimTime first_seen = 0;
+};
+
 /// One closed-loop episode: from first streaming trigger to recovery (or to
 /// a deliberate non-action). Times are 0 when the stage was not reached.
 struct Incident {
@@ -77,8 +86,8 @@ struct Incident {
   SimTime recover = 0;      ///< all triggering alerts closed
   bool deferred = false;    ///< repair waited on the daily reload budget
   bool escalated_rma = false;  ///< reload did not stick; escalated to RMA
-  /// (scope, rule) of every streaming alert folded into this incident.
-  std::vector<std::pair<std::string, std::string>> triggers;
+  /// Every streaming alert folded into this incident.
+  std::vector<Trigger> triggers;
   std::string note;
   double sla_before = -1.0;  ///< pair success rate in the corroboration window
   double sla_after = -1.0;   ///< pair success rate in the post-recovery window
@@ -101,14 +110,6 @@ class HealingLoop {
   [[nodiscard]] const HealConfig& config() const { return config_; }
 
  private:
-  struct PendingTrigger {
-    std::string scope;
-    std::string rule;
-    SimTime first_seen = 0;
-    PodId src;  ///< parsed from the pair scope; invalid when unparseable
-    PodId dst;
-  };
-
   void drain_alerts(SimTime now);
   void stamp_deferred_repairs(const std::vector<SwitchId>& reloaded, SimTime now);
   void corroborate(SimTime now);
@@ -117,8 +118,6 @@ class HealingLoop {
   void finish_sla(SimTime now);
 
   [[nodiscard]] bool trigger_absorbed(const std::string& scope, const std::string& rule) const;
-  [[nodiscard]] std::optional<std::pair<PodId, PodId>> parse_pair_scope(
-      const std::string& scope) const;
   /// Success rate of the probes in `records` touching the incident's pods;
   /// -1 when there are none.
   [[nodiscard]] double pair_success_rate(const Incident& inc,
@@ -128,14 +127,13 @@ class HealingLoop {
   /// Pod of the server owning `ip`; invalid for an unknown address.
   [[nodiscard]] PodId pod_of(IpAddr ip) const;
   Incident& open_incident(IncidentState state, IncidentAction action,
-                          std::vector<PendingTrigger> matched, SimTime now);
+                          std::vector<Trigger> matched, SimTime now);
   void record_timeline(const Incident& inc);
 
   core::PingmeshSimulation* sim_;
   HealConfig config_;
-  std::unordered_map<std::string, PodId> pod_by_tor_name_;
   std::size_t alert_hw_ = 0;  ///< high-water mark into db().alerts
-  std::vector<PendingTrigger> pending_;
+  std::vector<Trigger> pending_;
   std::vector<Incident> incidents_;
   std::uint64_t triggers_seen_ = 0;
 };

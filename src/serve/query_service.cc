@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 namespace pingmesh::serve {
@@ -71,6 +72,12 @@ std::optional<long> param_long(const std::unordered_map<std::string, std::string
   return v;
 }
 
+/// The 400 answer to a numeric parameter its type cannot hold.
+std::string param_out_of_range(const char* param, int* status) {
+  *status = 400;
+  return std::string("{\"error\":\"") + param + " out of range\"}";
+}
+
 }  // namespace
 
 QueryService::QueryService(const topo::Topology& topo, const RollupStore& store,
@@ -97,9 +104,11 @@ void QueryService::enable_observability(obs::MetricsRegistry& registry) {
                     [this] { return static_cast<double>(store_->version()); });
 }
 
-SimTime QueryService::window_from_params(const Params& params) const {
-  if (auto m = param_long(params, "minutes"); m && *m > 0) return minutes(*m);
-  return kDefaultWindow;
+std::optional<SimTime> QueryService::window_from_params(const Params& params) const {
+  auto m = param_long(params, "minutes");
+  if (!m || *m <= 0) return kDefaultWindow;
+  if (*m > std::numeric_limits<SimTime>::max() / kNanosPerMinute) return std::nullopt;
+  return minutes(*m);
 }
 
 net::HttpResponse QueryService::handle(const net::HttpRequest& req) {
@@ -196,7 +205,9 @@ std::string QueryService::render(const std::string& endpoint, const Params& para
 
 std::string QueryService::render_heatmap(const Params& params, int* status,
                                          std::uint64_t* version) {
-  const RollupView view = store_->view(window_from_params(params));
+  const std::optional<SimTime> window = window_from_params(params);
+  if (!window) return param_out_of_range("minutes", status);
+  const RollupView view = store_->view(*window);
   *version = view.version;
   std::optional<std::string> dc_filter;
   if (auto it = params.find("dc"); it != params.end()) dc_filter = it->second;
@@ -242,9 +253,11 @@ std::string QueryService::render_sla(const Params& params, int* status,
     *status = 404;
     return "{\"error\":\"unknown service: " + name_it->second + "\"}";
   }
-  const RollupView view = store_->view(window_from_params(params), *id);
+  const std::optional<SimTime> window = window_from_params(params);
+  if (!window) return param_out_of_range("minutes", status);
+  const RollupView view = store_->view(*window, *id);
   *version = view.version;
-  const std::optional<streaming::WindowStats>& stats = view.service;
+  const std::optional<agent::WindowStats>& stats = view.service;
   std::string out = "{\"service\":\"" + name_it->second +
                     "\",\"from_s\":" + std::to_string(view.from / kNanosPerSecond) +
                     ",\"to_s\":" + std::to_string(view.to / kNanosPerSecond);
@@ -269,14 +282,19 @@ std::string QueryService::render_sla(const Params& params, int* status,
 std::string QueryService::render_topk(const Params& params, int* status,
                                       std::uint64_t* version) {
   int k = kDefaultTopk;
-  if (auto v = param_long(params, "k"); v && *v > 0) k = static_cast<int>(*v);
+  if (auto v = param_long(params, "k"); v && *v > 0) {
+    if (*v > std::numeric_limits<int>::max()) return param_out_of_range("k", status);
+    k = static_cast<int>(*v);
+  }
   std::string metric = "p99";
   if (auto it = params.find("metric"); it != params.end()) metric = it->second;
   if (metric != "p99" && metric != "drop" && metric != "failure") {
     *status = 400;
     return "{\"error\":\"metric must be p99|drop|failure\"}";
   }
-  RollupView view = store_->view(window_from_params(params));
+  const std::optional<SimTime> window = window_from_params(params);
+  if (!window) return param_out_of_range("minutes", status);
+  RollupView view = store_->view(*window);
   *version = view.version;
   std::vector<PairRollup>& rows = view.pairs;
   auto score = [&metric](const PairRollup& r) {

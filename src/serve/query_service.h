@@ -128,7 +128,9 @@ class QueryService {
                                        std::uint64_t* version);
   [[nodiscard]] std::string render_topk(const Params& params, int* status,
                                         std::uint64_t* version);
-  [[nodiscard]] SimTime window_from_params(const Params& params) const;
+  /// The ?minutes= window (an hour without one); nullopt when its span
+  /// does not fit in SimTime.
+  [[nodiscard]] std::optional<SimTime> window_from_params(const Params& params) const;
 
   const topo::Topology* topo_;
   const RollupStore* store_;

@@ -169,9 +169,8 @@ bool RollupStore::cell_queryable(int tier, SimTime start) const {
   return start < sealed_until_[tier];
 }
 
-std::optional<streaming::WindowStats> RollupStore::merge_range(const Series& s,
-                                                               SimTime from,
-                                                               SimTime to) const {
+std::optional<agent::WindowStats> RollupStore::merge_range(const Series& s, SimTime from,
+                                                           SimTime to) const {
   const SimTime w0 = cfg_.tier_width[0];
   const SimTime from_al = w0 * (std::max<SimTime>(0, from) / w0);
   const SimTime to_al = to <= 0 ? 0 : w0 * ((to + w0 - 1) / w0);
@@ -198,12 +197,11 @@ std::optional<streaming::WindowStats> RollupStore::merge_range(const Series& s,
     }
   }
   if (!any) return std::nullopt;
-  return streaming::WindowStats::of(scratch_, window_start, window_end);
+  return agent::WindowStats::of(scratch_, window_start, window_end);
 }
 
-std::optional<streaming::WindowStats> RollupStore::query_pair(PodId src, PodId dst,
-                                                              SimTime from,
-                                                              SimTime to) const {
+std::optional<agent::WindowStats> RollupStore::query_pair(PodId src, PodId dst,
+                                                          SimTime from, SimTime to) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pairs_.find(pair_key(src, dst));
   if (it == pairs_.end()) return std::nullopt;

@@ -61,7 +61,6 @@
 #include "common/annotations.h"
 #include "common/types.h"
 #include "dsa/uploader.h"
-#include "streaming/window.h"
 #include "topology/topology.h"
 
 namespace pingmesh::serve {
@@ -84,7 +83,7 @@ struct RollupConfig {
 struct PairRollup {
   PodId src_pod;
   PodId dst_pod;
-  streaming::WindowStats stats;
+  agent::WindowStats stats;
 };
 
 /// One consistent read of the store (RollupStore::view), all of it taken
@@ -94,7 +93,7 @@ struct RollupView {
   SimTime from = 0;  ///< max(0, to - window)
   SimTime to = 0;    ///< the ingest watermark
   std::vector<PairRollup> pairs;  ///< sorted by (src, dst); empty for a service read
-  std::optional<streaming::WindowStats> service;  ///< nullopt when it has no cells
+  std::optional<agent::WindowStats> service;  ///< nullopt when it has no cells
 };
 
 class RollupStore final : public dsa::RecordTap {
@@ -115,7 +114,7 @@ class RollupStore final : public dsa::RecordTap {
   void advance(SimTime now);
 
   // -- queries (all const; bounds round outward to tier-0 boundaries) -------
-  [[nodiscard]] std::optional<streaming::WindowStats> query_pair(
+  [[nodiscard]] std::optional<agent::WindowStats> query_pair(
       PodId src, PodId dst, SimTime from, SimTime to) const;
   /// The version, the watermark and the cells of the `window` before the
   /// watermark, under one lock acquisition: the serving tier renders from
@@ -221,7 +220,7 @@ class RollupStore final : public dsa::RecordTap {
   [[nodiscard]] bool cell_queryable(int tier, SimTime start) const PM_REQUIRES(mu_);
   [[nodiscard]] std::size_t cell_count_locked() const PM_REQUIRES(mu_);
   /// Merge queryable cells of `s` overlapping [from, to); nullopt when none.
-  [[nodiscard]] std::optional<streaming::WindowStats> merge_range(
+  [[nodiscard]] std::optional<agent::WindowStats> merge_range(
       const Series& s, SimTime from, SimTime to) const PM_REQUIRES(mu_);
 
   const topo::Topology* topo_;

@@ -1,3 +1,4 @@
 #pragma once
 #include "core/fleet.h"
-#include "streaming/window.h"
+#include "agent/counters.h"
+#include "streaming/pipeline.h"

@@ -78,17 +78,20 @@ TEST(LintRules, MetricsGlobalFires) {
 
 TEST(LintRules, ServeBoundaryFiresBothWays) {
   // core/uses_serve.h includes serve/ (nothing in src/ may consume the
-  // serving tier) and serve/uses_core.h includes core/ (off the serve
-  // allow-list). Both are layer 3, so plain layering stays silent — the
-  // boundary rule is what catches them.
+  // serving tier) and serve/uses_core.h includes core/ and streaming/ (off
+  // the serve allow-list). core/ is layer 3 like serve and streaming/ is
+  // below it, so plain layering stays silent — the boundary rule is what
+  // catches them.
   lint::Report r = lint::run_tree(fixture("serve_boundary"));
-  ASSERT_EQ(r.violations.size(), 2u);
+  ASSERT_EQ(r.violations.size(), 3u);
   for (const auto& v : r.violations) EXPECT_EQ(v.rule, "serve-boundary");
   EXPECT_EQ(r.violations[0].file, "core/uses_serve.h");
   EXPECT_EQ(r.violations[0].line, 2);  // the "serve/rollup.h" include
   EXPECT_EQ(r.violations[1].file, "serve/uses_core.h");
   EXPECT_EQ(r.violations[1].line, 2);  // the "core/fleet.h" include
-  // streaming/window.h is allow-listed for serve: must not fire.
+  // agent/counters.h on line 3 is allow-listed for serve: must not fire.
+  EXPECT_EQ(r.violations[2].file, "serve/uses_core.h");
+  EXPECT_EQ(r.violations[2].line, 4);  // the "streaming/pipeline.h" include
 }
 
 TEST(LintRules, MissingHeaderGuardFires) {

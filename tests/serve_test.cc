@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -445,6 +446,26 @@ TEST_F(QueryServiceTest, TopkOrdersWorstFirstAndRejectsBadMetric) {
   EXPECT_EQ(resp.status, 200);
   EXPECT_NE(resp.body.find("\"metric\":\"p99\""), std::string::npos);
   EXPECT_EQ(get(svc, "/query/topk?k=5&metric=bogus&minutes=60").status, 400);
+}
+
+TEST_F(QueryServiceTest, MinutesBeyondSimTimeIs400) {
+  // A window whose span overflows SimTime is a bad request, not a wrapped
+  // window, on every endpoint; the longest span SimTime holds still answers.
+  serve::QueryService svc(topo_, *store_, &services_);
+  EXPECT_EQ(get(svc, "/query/heatmap?minutes=999999999999999").status, 400);
+  EXPECT_EQ(get(svc, "/query/sla?service=Search&minutes=999999999999999").status, 400);
+  EXPECT_EQ(get(svc, "/query/topk?metric=p99&minutes=999999999999999").status, 400);
+  const SimTime longest = std::numeric_limits<SimTime>::max() / kNanosPerMinute;
+  EXPECT_EQ(get(svc, "/query/heatmap?minutes=" + std::to_string(longest)).status, 200);
+  EXPECT_EQ(get(svc, "/query/heatmap?minutes=" + std::to_string(longest + 1)).status, 400);
+}
+
+TEST_F(QueryServiceTest, TopkBeyondIntIs400) {
+  // 2^32 + 1 would truncate to k = 1.
+  serve::QueryService svc(topo_, *store_, &services_);
+  auto resp = get(svc, "/query/topk?k=4294967297&metric=p99&minutes=60");
+  EXPECT_EQ(resp.status, 400);
+  EXPECT_NE(resp.body.find("k out of range"), std::string::npos);
 }
 
 TEST_F(QueryServiceTest, EtagRevalidationAnd304Flow) {

@@ -1,11 +1,13 @@
-// Tests for the streaming analytics path: WindowedAggregator ring semantics
-// at exact boundaries, OnlineDetector
-// hysteresis + dedup, the shared open-alert registry, and the streaming-vs-
-// batch cross-validation over a full simulation (DESIGN.md §8).
+// Tests for the streaming analytics path: StreamingPipeline's ring
+// semantics at exact boundaries, its rules' hysteresis + dedup, the shared
+// open-alert registry, and the streaming-vs-batch cross-validation over a
+// full simulation (DESIGN.md §8).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,164 +17,31 @@
 #include "core/scenarios.h"
 #include "core/simulation.h"
 #include "dsa/database.h"
+#include "dsa/jobs.h"
 #include "dsa/pa.h"
+#include "dsa/scan_cache.h"
 #include "netsim/fault.h"
-#include "streaming/detector.h"
-#include "streaming/window.h"
+#include "streaming/pipeline.h"
 #include "topology/topology.h"
 
 namespace pingmesh {
 namespace {
 
-using streaming::OnlineDetector;
-using streaming::WindowedAggregator;
-using streaming::WindowStats;
+using streaming::StreamingPipeline;
 
-/// Ingest `r` into `agg` as a one-row batch.
-void ingest(WindowedAggregator& agg, const agent::LatencyRecord& r) {
+/// Feed `r` to `pipe` as a one-row batch landing at its measurement time.
+void ingest(StreamingPipeline& pipe, const agent::LatencyRecord& r) {
   agent::RecordColumns batch;
   batch.push_back(r);
-  agg.ingest(batch, 0);
+  pipe.on_records(batch, r.timestamp);
 }
 
-// --- WindowedAggregator ------------------------------------------------------
-
-class WindowTest : public ::testing::Test {
+/// A pipeline over one small DC, with a record builder for its pods.
+class PipelineTest : public ::testing::Test {
  protected:
-  WindowTest()
+  PipelineTest()
       : topo_(topo::Topology::build({topo::small_dc_spec("DC1", "US West")})),
-        agg_(topo_, WindowedAggregator::Config{}) {}
-
-  [[nodiscard]] ServerId srv(std::uint32_t pod, std::size_t i) const {
-    return topo_.pod(PodId{pod}).servers[i];
-  }
-
-  agent::LatencyRecord rec(std::uint32_t src_pod, std::uint32_t dst_pod, SimTime ts,
-                           bool success, SimTime rtt, std::size_t i = 0) const {
-    agent::LatencyRecord r;
-    r.timestamp = ts;
-    r.src_ip = topo_.server(srv(src_pod, i % 8)).ip;
-    r.dst_ip = topo_.server(srv(dst_pod, i % 8)).ip;
-    r.success = success;
-    r.rtt = rtt;
-    return r;
-  }
-
-  topo::Topology topo_;
-  WindowedAggregator agg_;  // W = 10s, N = 6
-};
-
-TEST_F(WindowTest, IngestClassifiesLikeBatch) {
-  // 4 clean, 2 one-SYN-drop (3s), 1 two-SYN-drop (9s), 3 failures.
-  for (int i = 0; i < 4; ++i) ingest(agg_, rec(0, 1, seconds(1) + i, true, micros(200 + i)));
-  ingest(agg_, rec(0, 1, seconds(2), true, seconds(3)));
-  ingest(agg_, rec(0, 1, seconds(3), true, seconds(3) + millis(30)));
-  ingest(agg_, rec(0, 1, seconds(4), true, seconds(9)));
-  for (int i = 0; i < 3; ++i) ingest(agg_, rec(0, 1, seconds(5) + i, false, 0));
-
-  auto s = agg_.query(PodId{0}, PodId{1}, seconds(9));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->probes, 10u);
-  EXPECT_EQ(s->successes, 7u);
-  EXPECT_EQ(s->failures, 3u);
-  EXPECT_EQ(s->probes_3s, 2u);
-  EXPECT_EQ(s->probes_9s, 1u);
-  EXPECT_EQ(s->drop_signatures(), 3u);
-  // Signatures never enter the latency sketch: p99 stays in the clean band.
-  EXPECT_LT(s->p99_ns, millis(1));
-  EXPECT_GE(s->p50_ns, micros(190));
-  // Reverse direction unseen.
-  EXPECT_FALSE(agg_.query(PodId{1}, PodId{0}, seconds(9)).has_value());
-}
-
-TEST_F(WindowTest, RecordAtExactBoundaryLandsInNewWindow) {
-  ingest(agg_, rec(0, 0, seconds(10), true, micros(150)));
-  auto lo = agg_.query_range(PodId{0}, PodId{0}, seconds(0), seconds(10));
-  auto hi = agg_.query_range(PodId{0}, PodId{0}, seconds(10), seconds(20));
-  ASSERT_TRUE(lo.has_value());
-  ASSERT_TRUE(hi.has_value());
-  EXPECT_EQ(lo->probes, 0u);  // [0,10) does not contain ts=10
-  EXPECT_EQ(hi->probes, 1u);  // [10,20) does
-}
-
-TEST_F(WindowTest, ExpiryAtExactHorizonBoundary) {
-  ingest(agg_, rec(0, 0, seconds(5), true, micros(150)));
-  // now=29: live horizon covers [0,10)..[20,30) -> included.
-  auto s = agg_.query(PodId{0}, PodId{0}, seconds(29));
-  ASSERT_TRUE(s.has_value());
-  // Default N=6: live horizon at 29 is [-30, 30) -> sub-window [0,10) live.
-  EXPECT_EQ(s->probes, 1u);
-  // now=59: live horizon [0,10)..[50,60) still includes it (edge of ring).
-  s = agg_.query(PodId{0}, PodId{0}, seconds(59));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->probes, 1u);
-  // now=60: live horizon [10,70) — the record just aged out, exactly at the
-  // boundary.
-  s = agg_.query(PodId{0}, PodId{0}, seconds(60));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->probes, 0u);
-}
-
-TEST_F(WindowTest, LateRecordPastHorizonIsDroppedNotMisfiled) {
-  ingest(agg_, rec(0, 0, seconds(65), true, micros(150)));  // slot 0 -> [60,70)
-  EXPECT_EQ(agg_.late_dropped(), 0u);
-  ingest(agg_, rec(0, 0, seconds(5), true, micros(150)));  // slot 0 already at 60
-  EXPECT_EQ(agg_.late_dropped(), 1u);
-  auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(60), seconds(70));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->probes, 1u);  // the late record did not pollute the new window
-  EXPECT_EQ(agg_.records_ingested(), 1u);
-}
-
-TEST_F(WindowTest, LateRecordWithinHorizonLandsInItsWindow) {
-  ingest(agg_, rec(0, 0, seconds(65), true, micros(150)));
-  ingest(agg_, rec(0, 0, seconds(45), true, micros(150)));  // late but retained slot
-  EXPECT_EQ(agg_.late_dropped(), 0u);
-  auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(40), seconds(50));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->probes, 1u);
-}
-
-TEST_F(WindowTest, UnknownIpsAreSkippedLikeBatchFilter) {
-  agent::LatencyRecord r = rec(0, 1, seconds(1), true, micros(200));
-  r.dst_ip = IpAddr{0xdeadbeef};
-  ingest(agg_, r);
-  EXPECT_EQ(agg_.records_skipped(), 1u);
-  EXPECT_EQ(agg_.records_ingested(), 0u);
-  EXPECT_EQ(agg_.pair_count(), 0u);
-}
-
-TEST_F(WindowTest, QueryRangeRoundsOutwardToSubWindowBoundaries) {
-  ingest(agg_, rec(0, 0, seconds(12), true, micros(150)));
-  auto s = agg_.query_range(PodId{0}, PodId{0}, seconds(11), seconds(13));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(s->window_start, seconds(10));
-  EXPECT_EQ(s->window_end, seconds(20));
-  EXPECT_EQ(s->probes, 1u);
-}
-
-TEST_F(WindowTest, SteadyStateIngestKeepsMemoryFlat) {
-  for (int w = 0; w < 3; ++w) ingest(agg_, rec(0, 1, seconds(10 * w), true, micros(200)));
-  std::size_t warm = agg_.memory_bytes();
-  // Hundreds more records across many ring wraps for the same pair: the
-  // allocation-free contract means footprint must not move at all.
-  for (int w = 3; w < 200; ++w) {
-    for (int i = 0; i < 5; ++i) {
-      ingest(agg_, rec(0, 1, seconds(10 * w) + i, true, micros(200 + i), i));
-    }
-  }
-  EXPECT_EQ(agg_.memory_bytes(), warm);
-  EXPECT_EQ(agg_.pair_count(), 1u);
-}
-
-// --- OnlineDetector ----------------------------------------------------------
-
-class DetectorTest : public ::testing::Test {
- protected:
-  DetectorTest()
-      : topo_(topo::Topology::build({topo::small_dc_spec("DC1", "US West")})),
-        agg_(topo_, WindowedAggregator::Config{}),
-        det_(topo_, db_) {}
+        pipe_(topo_, db_, streaming::StreamingConfig{}) {}
 
   agent::LatencyRecord rec(std::uint32_t src_pod, std::uint32_t dst_pod, SimTime ts,
                            bool success, SimTime rtt, std::size_t i = 0) const {
@@ -185,6 +54,128 @@ class DetectorTest : public ::testing::Test {
     return r;
   }
 
+  topo::Topology topo_;
+  dsa::Database db_;
+  StreamingPipeline pipe_;  // W = 10s, N = 6
+};
+
+// --- windows -----------------------------------------------------------------
+
+using WindowTest = PipelineTest;
+
+TEST_F(WindowTest, IngestClassifiesLikeBatch) {
+  // 4 clean, 2 one-SYN-drop (3s), 1 two-SYN-drop (9s), 3 failures.
+  for (int i = 0; i < 4; ++i) ingest(pipe_, rec(0, 1, seconds(1) + i, true, micros(200 + i)));
+  ingest(pipe_, rec(0, 1, seconds(2), true, seconds(3)));
+  ingest(pipe_, rec(0, 1, seconds(3), true, seconds(3) + millis(30)));
+  ingest(pipe_, rec(0, 1, seconds(4), true, seconds(9)));
+  for (int i = 0; i < 3; ++i) ingest(pipe_, rec(0, 1, seconds(5) + i, false, 0));
+
+  auto s = pipe_.query(PodId{0}, PodId{1}, seconds(9));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->probes, 10u);
+  EXPECT_EQ(s->successes, 7u);
+  EXPECT_EQ(s->failures, 3u);
+  EXPECT_EQ(s->probes_3s, 2u);
+  EXPECT_EQ(s->probes_9s, 1u);
+  EXPECT_EQ(s->drop_signatures(), 3u);
+  // Signatures never enter the latency sketch: p99 stays in the clean band.
+  EXPECT_LT(s->p99_ns, millis(1));
+  EXPECT_GE(s->p50_ns, micros(190));
+  // Reverse direction unseen.
+  EXPECT_FALSE(pipe_.query(PodId{1}, PodId{0}, seconds(9)).has_value());
+}
+
+TEST_F(WindowTest, RecordAtExactBoundaryLandsInNewWindow) {
+  ingest(pipe_, rec(0, 0, seconds(10), true, micros(150)));
+  // One nanosecond before 10 s the horizon is [-50, 10): its newest
+  // sub-window [0, 10) does not contain ts = 10.
+  auto lo = pipe_.query(PodId{0}, PodId{0}, seconds(10) - 1);
+  ASSERT_TRUE(lo.has_value());
+  EXPECT_EQ(lo->window_end, seconds(10));
+  EXPECT_EQ(lo->probes, 0u);
+  // At 10 s the horizon gains [10, 20), which does.
+  auto hi = pipe_.query(PodId{0}, PodId{0}, seconds(10));
+  ASSERT_TRUE(hi.has_value());
+  EXPECT_EQ(hi->window_end, seconds(20));
+  EXPECT_EQ(hi->probes, 1u);
+}
+
+TEST_F(WindowTest, ExpiryAtExactHorizonBoundary) {
+  ingest(pipe_, rec(0, 0, seconds(5), true, micros(150)));
+  // now=29: live horizon is [-30, 30) -> sub-window [0,10) live.
+  auto s = pipe_.query(PodId{0}, PodId{0}, seconds(29));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->probes, 1u);
+  // now=59: live horizon [0,10)..[50,60) still includes it (edge of ring).
+  s = pipe_.query(PodId{0}, PodId{0}, seconds(59));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->window_start, 0);
+  EXPECT_EQ(s->probes, 1u);
+  // now=60: live horizon [10,70) — the record just aged out, exactly at the
+  // boundary.
+  s = pipe_.query(PodId{0}, PodId{0}, seconds(60));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->window_start, seconds(10));
+  EXPECT_EQ(s->probes, 0u);
+}
+
+TEST_F(WindowTest, LateRecordPastHorizonIsDroppedNotMisfiled) {
+  ingest(pipe_, rec(0, 0, seconds(65), true, micros(150)));  // slot 0 -> [60,70)
+  EXPECT_EQ(pipe_.ledger().late, 0u);
+  ingest(pipe_, rec(0, 0, seconds(5), true, micros(150)));  // slot 0 already at 60
+  EXPECT_EQ(pipe_.ledger().late, 1u);
+  // The horizon at 65 s, [10, 70), ends with [60, 70): the late record did
+  // not pollute it.
+  auto s = pipe_.query(PodId{0}, PodId{0}, seconds(65));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->probes, 1u);
+  EXPECT_EQ(pipe_.ledger().ingested, 1u);
+}
+
+TEST_F(WindowTest, LateRecordWithinHorizonLandsInItsWindow) {
+  ingest(pipe_, rec(0, 0, seconds(65), true, micros(150)));
+  ingest(pipe_, rec(0, 0, seconds(45), true, micros(150)));  // late but retained slot
+  EXPECT_EQ(pipe_.ledger().late, 0u);
+  // The horizon at 45 s, [-10, 50), ends with [40, 50) and holds only the
+  // late record; the one at 65 s holds both.
+  auto s = pipe_.query(PodId{0}, PodId{0}, seconds(45));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->probes, 1u);
+  s = pipe_.query(PodId{0}, PodId{0}, seconds(65));
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->probes, 2u);
+}
+
+TEST_F(WindowTest, UnknownIpsAreSkippedLikeBatchFilter) {
+  agent::LatencyRecord r = rec(0, 1, seconds(1), true, micros(200));
+  r.dst_ip = IpAddr{0xdeadbeef};
+  ingest(pipe_, r);
+  EXPECT_EQ(pipe_.ledger().skipped, 1u);
+  EXPECT_EQ(pipe_.ledger().ingested, 0u);
+  EXPECT_EQ(pipe_.pair_count(), 0u);
+}
+
+TEST_F(WindowTest, SteadyStateIngestKeepsMemoryFlat) {
+  for (int w = 0; w < 3; ++w) ingest(pipe_, rec(0, 1, seconds(10 * w), true, micros(200)));
+  std::size_t warm = pipe_.memory_bytes();
+  // Hundreds more records across many ring wraps for the same pair: the
+  // allocation-free contract means footprint must not move at all.
+  for (int w = 3; w < 200; ++w) {
+    for (int i = 0; i < 5; ++i) {
+      ingest(pipe_, rec(0, 1, seconds(10 * w) + i, true, micros(200 + i), i));
+    }
+  }
+  EXPECT_EQ(pipe_.memory_bytes(), warm);
+  EXPECT_EQ(pipe_.pair_count(), 1u);
+}
+
+// --- rules -------------------------------------------------------------------
+
+/// tick() runs every 10 s: a rule opens after 2 breaching evaluations and
+/// closes after 3 clean ones.
+class DetectorTest : public PipelineTest {
+ protected:
   /// Fill sub-window w with 12 records for (src, dst). Mode: 'c' clean,
   /// 'b' breach (4 of 12 carry a 3s SYN-drop signature), 'f' all failed,
   /// 's' slow (5 ms clean RTT), 'p' partial black-hole (4 of 12 fail, the
@@ -193,16 +184,16 @@ class DetectorTest : public ::testing::Test {
     for (int i = 0; i < 12; ++i) {
       SimTime ts = seconds(10 * w) + i * millis(700);
       switch (mode) {
-        case 'c': ingest(agg_, rec(src, dst, ts, true, micros(200) + i, i)); break;
+        case 'c': ingest(pipe_, rec(src, dst, ts, true, micros(200) + i, i)); break;
         case 'b':
-          ingest(agg_, i < 4 ? rec(src, dst, ts, true, seconds(3), i)
-                                  : rec(src, dst, ts, true, micros(200) + i, i));
+          ingest(pipe_, i < 4 ? rec(src, dst, ts, true, seconds(3), i)
+                              : rec(src, dst, ts, true, micros(200) + i, i));
           break;
-        case 'f': ingest(agg_, rec(src, dst, ts, false, 0, i)); break;
-        case 's': ingest(agg_, rec(src, dst, ts, true, millis(5) + i, i)); break;
+        case 'f': ingest(pipe_, rec(src, dst, ts, false, 0, i)); break;
+        case 's': ingest(pipe_, rec(src, dst, ts, true, millis(5) + i, i)); break;
         case 'p':
-          ingest(agg_, i < 4 ? rec(src, dst, ts, false, 0, i)
-                                  : rec(src, dst, ts, true, micros(200) + i, i));
+          ingest(pipe_, i < 4 ? rec(src, dst, ts, false, 0, i)
+                              : rec(src, dst, ts, true, micros(200) + i, i));
           break;
         default: FAIL() << "bad mode";
       }
@@ -217,11 +208,6 @@ class DetectorTest : public ::testing::Test {
     }
     return out;
   }
-
-  topo::Topology topo_;
-  dsa::Database db_;
-  WindowedAggregator agg_;  // W = 10s, N = 6
-  OnlineDetector det_;      // evaluated every 10s; opens after 2, closes after 3
 };
 
 TEST_F(DetectorTest, DropSpikeOpensOnceThenReopensAfterClear) {
@@ -229,7 +215,7 @@ TEST_F(DetectorTest, DropSpikeOpensOnceThenReopensAfterClear) {
   // suppressed afterwards (one AlertRow for a persistent fault).
   for (int w = 0; w <= 3; ++w) {
     fill(0, 1, w, 'b');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   EXPECT_EQ(alerts_for("stream:drop_spike").size(), 1u);
   EXPECT_EQ(alerts_for("stream:drop_spike")[0].time, seconds(20));
@@ -241,20 +227,20 @@ TEST_F(DetectorTest, DropSpikeOpensOnceThenReopensAfterClear) {
   // without emitting a row.
   for (int w = 4; w <= 12; ++w) {
     fill(0, 1, w, 'c');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   EXPECT_EQ(alerts_for("stream:drop_spike").size(), 1u);
   EXPECT_FALSE(db_.alert_open(alerts_for("stream:drop_spike")[0].scope, "stream:drop_spike"));
-  EXPECT_EQ(det_.alerts_closed(), 1u);
+  EXPECT_EQ(pipe_.ledger().closed, 1u);
 
   // Phase 3: fault returns -> a second AlertRow (not a duplicate-suppressed
   // stale one).
   for (int w = 13; w <= 14; ++w) {
     fill(0, 1, w, 'b');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   EXPECT_EQ(alerts_for("stream:drop_spike").size(), 2u);
-  EXPECT_EQ(det_.alerts_opened(), 2u);
+  EXPECT_EQ(pipe_.ledger().opened, 2u);
   // No other rule fired along the way.
   EXPECT_EQ(db_.alerts.size(), 2u);
 }
@@ -262,7 +248,7 @@ TEST_F(DetectorTest, DropSpikeOpensOnceThenReopensAfterClear) {
 TEST_F(DetectorTest, SilentPairFromBootIsCriticalAfterHysteresis) {
   for (int w = 0; w <= 2; ++w) {
     fill(0, 2, w, 'f');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   auto silent = alerts_for("stream:silent_pair");
   ASSERT_EQ(silent.size(), 1u);
@@ -280,7 +266,7 @@ TEST_F(DetectorTest, FailRateCatchesPartialBlackholeWithoutSilencingPair) {
   // 2-evaluation hysteresis then opens one critical fail_rate alert.
   for (int w = 0; w <= 3; ++w) {
     fill(0, 1, w, 'p');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   auto fail_rate = alerts_for("stream:fail_rate");
   ASSERT_EQ(fail_rate.size(), 1u);
@@ -295,7 +281,7 @@ TEST_F(DetectorTest, FailRateCatchesPartialBlackholeWithoutSilencingPair) {
   // Fault clears: after close_after clean evaluations the alert closes.
   for (int w = 4; w <= 12; ++w) {
     fill(0, 1, w, 'c');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   EXPECT_FALSE(db_.alert_open(fail_rate[0].scope, "stream:fail_rate"));
   EXPECT_EQ(alerts_for("stream:fail_rate").size(), 1u);  // no duplicate row
@@ -305,7 +291,7 @@ TEST_F(DetectorTest, SilentPairWaitsForGracePeriodAfterLastSuccess) {
   fill(0, 3, 0, 'c');  // healthy window: last success ~9.7s
   for (int w = 1; w <= 5; ++w) {
     fill(0, 3, w, 'f');
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
     if (seconds(10 * (w + 1)) < seconds(50)) {
       // Before last_success + 30 s + one hysteresis step, nothing.
       EXPECT_EQ(alerts_for("stream:silent_pair").size(), 0u) << "w=" << w;
@@ -323,18 +309,18 @@ TEST_F(DetectorTest, HealthyPairBetweenUploadsStaysQuiet) {
   // data says the pair went quiet, so nothing may page.
   fill(0, 1, 0, 'c');  // last success ~7.7s, and no record after it
   for (int t = 10; t <= 60; t += 10) {
-    det_.evaluate(agg_, seconds(t));
+    pipe_.tick(seconds(t));
     EXPECT_TRUE(alerts_for("stream:silent_pair").empty()) << "t=" << t;
   }
-  EXPECT_EQ(det_.alerts_opened(), 0u);
+  EXPECT_EQ(pipe_.ledger().opened, 0u);
   EXPECT_EQ(db_.alerts.size(), 0u);
 }
 
 TEST_F(DetectorTest, AlertRowsCarryPairScopeAndRuleMessage) {
   // One pair per rule, each breaching from its first windows and clean
   // after. Rows come out in evaluation order, and within an evaluation in
-  // (src, dst) then rule order; heal parses the scope back into the pod
-  // pair. The pair that goes silent after one clean window first crosses
+  // (src, dst) then rule order; each row names its pod pair, which heal
+  // reads. The pair that goes silent after one clean window first crosses
   // the failure-rate bar, before its 30 s grace is over: fail_rate owns it
   // until silent_pair takes over.
   for (int w = 0; w <= 14; ++w) {
@@ -342,29 +328,31 @@ TEST_F(DetectorTest, AlertRowsCarryPairScopeAndRuleMessage) {
     fill(0, 2, w, w < 4 ? 'p' : 'c');               // fail_rate
     fill(0, 3, w, w == 0 || w > 4 ? 'c' : 'f');     // fail_rate, then silent_pair
     fill(1, 0, w, w >= 6 && w <= 9 ? 's' : 'c');    // latency_boost
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   struct Expected {
     SimTime time;
     const char* rule;
     const char* scope;
+    std::uint32_t src_pod;
+    std::uint32_t dst_pod;
     dsa::AlertSeverity severity;
     double value;
     const char* message;
   };
   const Expected expected[] = {
-      {seconds(20), "stream:drop_spike", "pair DC1-PS0-T0->DC1-PS0-T1",
+      {seconds(20), "stream:drop_spike", "pair DC1-PS0-T0->DC1-PS0-T1", 0, 1,
        dsa::AlertSeverity::kCritical, 8.0 / 24.0, "drop rate 3.33e-01 over live window"},
-      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T2",
+      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T2", 0, 2,
        dsa::AlertSeverity::kCritical, 12.0 / 36.0,
        "connect failure rate 3.33e-01 (12/36 probes) over live window"},
-      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T3",
+      {seconds(30), "stream:fail_rate", "pair DC1-PS0-T0->DC1-PS0-T3", 0, 3,
        dsa::AlertSeverity::kCritical, 24.0 / 36.0,
        "connect failure rate 6.67e-01 (24/36 probes) over live window"},
-      {seconds(50), "stream:silent_pair", "pair DC1-PS0-T0->DC1-PS0-T3",
+      {seconds(50), "stream:silent_pair", "pair DC1-PS0-T0->DC1-PS0-T3", 0, 3,
        dsa::AlertSeverity::kCritical, 48.0 / 60.0,
        "no successful probe since 7.700000s (60 probes in live window)"},
-      {seconds(100), "stream:latency_boost", "pair DC1-PS0-T1->DC1-PS0-T0",
+      {seconds(100), "stream:latency_boost", "pair DC1-PS0-T1->DC1-PS0-T0", 1, 0,
        dsa::AlertSeverity::kWarning, 4920343.0, "P50 4.92ms vs baseline 200us"},
   };
   std::string written;
@@ -379,25 +367,27 @@ TEST_F(DetectorTest, AlertRowsCarryPairScopeAndRuleMessage) {
     EXPECT_EQ(a.time, expected[i].time);
     EXPECT_EQ(a.rule, expected[i].rule);
     EXPECT_EQ(a.scope, expected[i].scope);
+    EXPECT_EQ(a.src_pod, PodId{expected[i].src_pod});
+    EXPECT_EQ(a.dst_pod, PodId{expected[i].dst_pod});
     EXPECT_EQ(a.severity, expected[i].severity);
     EXPECT_DOUBLE_EQ(a.value, expected[i].value);
     EXPECT_EQ(a.message, expected[i].message);
   }
   // By t=150 every pair has been clean for three evaluations: all closed.
-  EXPECT_EQ(det_.alerts_opened(), 5u);
-  EXPECT_EQ(det_.alerts_closed(), 5u);
+  EXPECT_EQ(pipe_.ledger().opened, 5u);
+  EXPECT_EQ(pipe_.ledger().closed, 5u);
   EXPECT_EQ(db_.open_alert_count(), 0u);
 }
 
 TEST_F(DetectorTest, LatencyBoostAgainstFrozenBaseline) {
   for (int w = 0; w <= 5; ++w) {
     fill(1, 0, w, 'c');  // establish ~200us baseline
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   EXPECT_EQ(db_.alerts.size(), 0u);
   for (int w = 6; w <= 9; ++w) {
     fill(1, 0, w, 's');  // 5 ms: > 3x baseline and > 1 ms floor
-    det_.evaluate(agg_, seconds(10 * (w + 1)));
+    pipe_.tick(seconds(10 * (w + 1)));
   }
   auto boosts = alerts_for("stream:latency_boost");
   ASSERT_EQ(boosts.size(), 1u);  // opened once, then suppressed (and the
@@ -411,10 +401,10 @@ TEST_F(DetectorTest, LatencyBoostAgainstFrozenBaseline) {
 
 TEST_F(DetectorTest, MinProbesGateSuppressesThinPairs) {
   for (int i = 0; i < 3; ++i) {
-    ingest(agg_, rec(2, 3, seconds(1) + i, false, 0, static_cast<std::size_t>(i)));
+    ingest(pipe_, rec(2, 3, seconds(1) + i, false, 0, static_cast<std::size_t>(i)));
   }
-  det_.evaluate(agg_, seconds(10));
-  det_.evaluate(agg_, seconds(20));
+  pipe_.tick(seconds(10));
+  pipe_.tick(seconds(20));
   EXPECT_EQ(db_.alerts.size(), 0u);
 }
 
@@ -462,42 +452,58 @@ TEST(PaAlertDedup, PersistentBreachYieldsOneRowUntilCleared) {
 // --- end-to-end: cross-validation and detection freshness --------------------
 
 TEST(StreamingCrossValidation, WindowsMatchBatchPodPairRows) {
-  core::SimulationConfig cfg = core::streaming_test_config(7);
-  // Widen the ring so every fresh batch window (written ~12..22 min after it
-  // closes at this config's cadence) is still fully retained when compared.
-  cfg.streaming.windows.sub_window = minutes(2);
-  cfg.streaming.windows.sub_window_count = 32;  // 64-min horizon
-  core::PingmeshSimulation sim(cfg);
-
-  const streaming::WindowedAggregator& win = sim.streaming()->windows();
+  // Every 10 minutes, the live horizon at production geometry against the
+  // batch pod-pair job run over that same horizon, in both directions:
+  // every job row equals its pair's window, and no window holds a probe the
+  // job did not count.
+  core::PingmeshSimulation sim(core::streaming_test_config(7));
+  const StreamingPipeline& pipe = *sim.streaming();
+  const topo::Topology& topo = sim.topology();
   std::size_t checked = 0;
-  std::size_t next_row = 0;
   while (sim.now() < hours(2)) {
     sim.run_for(minutes(10));
-    const auto& rows = sim.db().pod_pair_stats;
-    for (; next_row < rows.size(); ++next_row) {
-      const dsa::PodPairStatRow& row = rows[next_row];
-      if (row.window_start <= sim.now() - win.horizon() + cfg.streaming.windows.sub_window) {
-        continue;  // partly aged out of the ring; not comparable
+    const SimTime now = sim.now();
+    const SimTime to = now - now % streaming::kSubWindow + streaming::kSubWindow;
+    const SimTime from = to - streaming::kSubWindow * streaming::kSubWindows;
+    dsa::Database db;
+    dsa::DecodedExtentCache cache;
+    dsa::run_pod_pair_job(sim.cosmos().stream(dsa::kLatencyStream),
+                          dsa::JobContext{&topo, nullptr, &db, &cache}, from, to);
+    std::map<std::pair<std::uint32_t, std::uint32_t>, const dsa::PodPairStatRow*> rows;
+    for (const dsa::PodPairStatRow& row : db.pod_pair_stats) {
+      rows[{row.src_pod.value, row.dst_pod.value}] = &row;
+    }
+    for (const topo::Pod& src : topo.pods()) {
+      for (const topo::Pod& dst : topo.pods()) {
+        SCOPED_TRACE("pair " + std::to_string(src.id.value) + "->" +
+                     std::to_string(dst.id.value) + " @" + std::to_string(to_seconds(now)));
+        auto s = pipe.query(src.id, dst.id, now);
+        auto row = rows.find({src.id.value, dst.id.value});
+        if (row == rows.end()) {
+          EXPECT_TRUE(!s.has_value() || s->probes == 0) << "window holds uncounted probes";
+          continue;
+        }
+        ASSERT_TRUE(s.has_value()) << "pair missing from streaming state";
+        const dsa::PodPairStatRow& r = *row->second;
+        EXPECT_EQ(s->window_start, r.window_start);
+        EXPECT_EQ(s->window_end, r.window_end);
+        // Same records, same ProbeStats rule: the counters agree exactly.
+        EXPECT_EQ(s->probes, r.probes);
+        EXPECT_EQ(s->successes, r.successes);
+        EXPECT_EQ(s->failures, r.failures);
+        EXPECT_EQ(s->drop_signatures(), r.drop_signatures);
+        // Both paths merge agent::ProbeStats of the same samples, so the
+        // percentiles come from the same bucket counts: equal, not just close.
+        EXPECT_EQ(s->p50_ns, r.p50_ns);
+        EXPECT_EQ(s->p99_ns, r.p99_ns);
+        ++checked;
       }
-      auto s = win.query_range(row.src_pod, row.dst_pod, row.window_start, row.window_end);
-      ASSERT_TRUE(s.has_value()) << "pair missing from streaming state";
-      // Same records, same ProbeStats rule: the counters agree exactly.
-      EXPECT_EQ(s->probes, row.probes) << "window@" << to_seconds(row.window_start);
-      EXPECT_EQ(s->successes, row.successes);
-      EXPECT_EQ(s->failures, row.failures);
-      EXPECT_EQ(s->drop_signatures(), row.drop_signatures);
-      // Both paths merge agent::ProbeStats of the same samples, so the
-      // percentiles come from the same bucket counts: equal, not just close.
-      EXPECT_EQ(s->p50_ns, row.p50_ns) << "p50 window@" << to_seconds(row.window_start);
-      EXPECT_EQ(s->p99_ns, row.p99_ns) << "p99 window@" << to_seconds(row.window_start);
-      ++checked;
     }
   }
-  // Dozens of pod pairs per 10-min window over ~2 h: a real sample.
-  EXPECT_GT(checked, 100u);
-  EXPECT_GT(win.records_ingested(), 0u);
-  EXPECT_EQ(win.late_dropped(), 0u);
+  // Dozens of pod pairs per horizon, twelve horizons: a real sample.
+  EXPECT_GT(checked, 500u);
+  EXPECT_GT(pipe.ledger().ingested, 0u);
+  EXPECT_EQ(pipe.ledger().late, 0u);
 }
 
 TEST(StreamingDetection, BlackholeCaughtInUnderAMinute) {
@@ -535,7 +541,7 @@ TEST(StreamingDetection, BlackholeCaughtInUnderAMinute) {
 }
 
 TEST(StreamingDeterminism, WorkerCountDoesNotChangeStreamingResults) {
-  // The tap runs in the serial upload-drain phase and the detector on the
+  // The tap runs in the serial upload-drain phase and the rules on the
   // driver thread: the whole streaming path must be bit-identical for any
   // worker count (DESIGN.md §7).
   core::SimulationConfig cfg1 = core::streaming_test_config(42);
@@ -547,12 +553,11 @@ TEST(StreamingDeterminism, WorkerCountDoesNotChangeStreamingResults) {
   sim1.run_for(minutes(40));
   sim4.run_for(minutes(40));
 
-  const auto& w1 = sim1.streaming()->windows();
-  const auto& w4 = sim4.streaming()->windows();
-  EXPECT_EQ(w1.records_ingested(), w4.records_ingested());
+  const StreamingPipeline& w1 = *sim1.streaming();
+  const StreamingPipeline& w4 = *sim4.streaming();
+  EXPECT_EQ(w1.ledger().ingested, w4.ledger().ingested);
   EXPECT_EQ(w1.pair_count(), w4.pair_count());
-  EXPECT_EQ(sim1.streaming()->detector().evaluations(),
-            sim4.streaming()->detector().evaluations());
+  EXPECT_EQ(w1.ledger().evaluations, w4.ledger().evaluations);
   ASSERT_EQ(sim1.db().alerts.size(), sim4.db().alerts.size());
   for (std::size_t i = 0; i < sim1.db().alerts.size(); ++i) {
     EXPECT_EQ(sim1.db().alerts[i].time, sim4.db().alerts[i].time);

@@ -8,7 +8,9 @@
 #                    library-rule subset over tools/ and bench/
 #   2. tier-1      — default build with -Werror + full ctest suite
 #                    (includes the corpus replay tests, the lint fixture
-#                    tests and the `shape`-labelled figure benches), then an
+#                    tests and the `shape`-labelled figure benches), the
+#                    Release build with -Werror (build-release/; some GCC
+#                    diagnostics fire only at -O3), then an
 #                    observability smoke (pingmeshctl metrics/trace must
 #                    show the wired subsystems; DESIGN.md §10), a chaos
 #                    replay smoke, the self-healing soak smoke
@@ -60,6 +62,10 @@ cmake --build build -j --target pingmesh_lint >/dev/null
 banner "stage 2: tier-1 build + ctest"
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
+# CI's second configuration: Release (-O3) must be warning-free too, since
+# some GCC diagnostics (-Wrestrict) fire only at that optimization level.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-release -j >/dev/null
 
 # --- 2b. observability smoke ------------------------------------------------
 # The metrics exposition and the end-to-end trace must stay wired through

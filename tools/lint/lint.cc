@@ -41,8 +41,7 @@ constexpr struct {
 // harness; tools and bench live outside src/ and may too). Enforced by the
 // serve-boundary rule on top of the layer numbers above.
 constexpr const char* kServeAllowedDeps[] = {
-    "common", "net", "topology", "agent", "controller", "dsa", "streaming",
-    "obs", "serve",
+    "common", "net", "topology", "agent", "controller", "dsa", "obs", "serve",
 };
 
 bool is_ident_char(char c) {
@@ -499,7 +498,7 @@ class Checker {
         if (!allowed) {
           emit(f, inc.line, "serve-boundary",
                "serve may only depend on common/net/topology/agent/controller/"
-               "dsa/streaming/obs; '" +
+               "dsa/obs; '" +
                    inc.path + "' is off-limits");
         }
       } else if (target == "serve" && f.module != "chaos") {

@@ -24,8 +24,8 @@
 //                           / TraceSink, or global_* accessors) only in
 //                           src/obs; everyone else takes a MetricsRegistry&
 //   serve-boundary          serve may only include common/net/topology/agent/
-//                           controller/dsa/streaming/obs; in src/ only chaos
-//                           may include serve (tools and bench also consume it)
+//                           controller/dsa/obs; in src/ only chaos may
+//                           include serve (tools and bench also consume it)
 //   determinism-taint       no function using a wallclock/rng primitive
 //                           (directly; transitive reach is what's computed)
 //                           may be reachable from shard-parallel code —

@@ -47,11 +47,13 @@
 //       fails); --json prints the machine-readable report
 //
 // A malformed number (--hours abc, a negative index, a value out of range
-// for its type) is a usage error: the command exits 2 and names it.
+// for its type, a duration longer than SimTime holds) is a usage error: the
+// command exits 2 and names it.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -126,6 +128,15 @@ struct Args {
     auto it = flags.find(key);
     return it != flags.end() ? parse_number<T>("--" + key, it->second) : def;
   }
+  /// A duration flag counted in `unit`s: a negative count, or one whose span
+  /// SimTime cannot hold, is as invalid as a malformed number.
+  [[nodiscard]] long flag_duration(const std::string& key, long def, SimTime unit) const {
+    long n = flag_num(key, def);
+    if (n < 0 || n > std::numeric_limits<SimTime>::max() / unit) {
+      throw UsageError("invalid value for --" + key + ": " + flag(key, ""));
+    }
+    return n;
+  }
 };
 
 topo::Topology build_topology(const Args& args) {
@@ -167,7 +178,7 @@ int cmd_pinglist(const Args& args) {
 int cmd_simulate(const Args& args) {
   core::SimulationConfig cfg =
       core::small_test_config(args.flag_num<std::uint64_t>("seed", 42));
-  long hours_to_run = args.flag_num("hours", 2L);
+  long hours_to_run = args.flag_duration("hours", 2L, kNanosPerHour);
   core::PingmeshSimulation sim(cfg);
   const auto& pod0 = sim.topology().pods()[0];
   sim.services().add_service("Search", pod0.servers);
@@ -347,7 +358,7 @@ int cmd_drops(const Args& args) {
 int cmd_query_serve(const Args& args, const std::string& endpoint) {
   core::SimulationConfig cfg =
       core::streaming_test_config(args.flag_num<std::uint64_t>("seed", 42));
-  long sim_mins = args.flag_num("sim-minutes", 10L);
+  long sim_mins = args.flag_duration("sim-minutes", 10L, kNanosPerMinute);
   core::PingmeshSimulation sim(cfg);
   const topo::Topology& topo = sim.topology();
   sim.services().add_service("Search", topo.pod(PodId{0}).servers);
@@ -398,7 +409,7 @@ int cmd_metrics(const Args& args) {
   core::SimulationConfig cfg =
       core::observability_test_config(args.flag_num<std::uint64_t>("seed", 42));
   cfg.worker_threads = args.flag_num("workers", 1);
-  long mins = args.flag_num("minutes", 30L);
+  long mins = args.flag_duration("minutes", 30L, kNanosPerMinute);
   core::PingmeshSimulation sim(cfg);
 
   // --serve: attach the serving tier so its serve.* instruments register
@@ -445,7 +456,7 @@ int cmd_trace(const Args& args) {
   core::SimulationConfig cfg =
       core::observability_test_config(args.flag_num<std::uint64_t>("seed", 42), sample);
   cfg.observability.trace.ring_capacity = 1u << 18;
-  long mins = args.flag_num("minutes", 25L);
+  long mins = args.flag_duration("minutes", 25L, kNanosPerMinute);
   auto id = args.flag_num<std::uint64_t>("id", 0);
   core::PingmeshSimulation sim(cfg);
   std::fprintf(stderr, "simulating %ld minute(s), tracing 1-in-%llu records...\n", mins,
@@ -571,7 +582,7 @@ int cmd_soak(const Args& args) {
   heal::SoakConfig cfg;
   cfg.seed = args.flag_num<std::uint64_t>("seed", 7);
   cfg.episodes = args.flag_num("episodes", 4);
-  long mins = args.flag_num("minutes", 30L);
+  long mins = args.flag_duration("minutes", 30L, kNanosPerMinute);
   cfg.episode_duration = minutes(mins);
   cfg.worker_threads = args.flag_num("workers", 1);
   std::fprintf(stderr, "soaking: %d episode(s) x %ld sim-minute(s), seed %llu (workers=%d)...\n",

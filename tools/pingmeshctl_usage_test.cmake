@@ -17,6 +17,8 @@ function(expect_usage_error message)
 endfunction()
 
 expect_usage_error("invalid value for --hours: abc" simulate --hours abc)
+# 3,000,000 hours is more nanoseconds than SimTime holds.
+expect_usage_error("invalid value for --hours: 3000000" simulate --hours 3000000)
 expect_usage_error("invalid value for <dst-index>: y" traceroute 0 y)
 expect_usage_error("invalid value for <src-index>: -5" traceroute -5 0)
 expect_usage_error("invalid value for <server-index>: 4294967296" pinglist 4294967296)
