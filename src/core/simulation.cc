@@ -221,7 +221,7 @@ void PingmeshSimulation::register_vip(IpAddr vip, std::vector<ServerId> dips) {
 agent::ProbeResult PingmeshSimulation::execute_probe(ServerId src,
                                                      const agent::ProbeRequest& req,
                                                      SimTime now) {
-  total_probes_.fetch_add(1, std::memory_order_relaxed);
+  total_probes_.add();
   IpAddr dst_ip = req.target.ip;
   // VIP targets resolve to a DIP by source-port hash (the SLB data plane).
   auto vip_it = vips_.find(dst_ip);
@@ -256,9 +256,10 @@ void PingmeshSimulation::tick_agents(SimTime now) {
   // Parallel phase: every server's agent work (pinglist fetch, probe
   // scheduling, probe execution, record buffering) touches only that
   // agent's state plus thread-safe shared components (const SimNetwork
-  // probe path, const generator, atomic counters). Static sharding keeps
-  // shard membership deterministic; probe outcomes are pure functions of
-  // (seed, tuple, now), so the result is bit-identical for any thread count.
+  // probe path, const generator, per-thread counter slots) and the shard's
+  // own cache-line-aligned scratch. Static sharding keeps shard membership
+  // deterministic; probe outcomes are pure functions of (seed, tuple, now),
+  // so the result is bit-identical for any thread count.
   const auto& servers = topo_.servers();
   // Pinglist fetches are only *noted* during the parallel phase and
   // performed after the barrier: the SLB VIP's pick/report sequence mutates
@@ -273,7 +274,7 @@ void PingmeshSimulation::tick_agents(SimTime now) {
   auto shard = [this, now, &servers, &wants_fetch](int shard_index, std::size_t begin,
                                                    std::size_t end) {
     agent::PingmeshAgent::TickActions& actions =
-        shard_scratch_[static_cast<std::size_t>(shard_index)];
+        shard_scratch_[static_cast<std::size_t>(shard_index)].actions;
     for (std::size_t i = begin; i < end; ++i) {
       const topo::Server& s = servers[i];
       if (!net_.server_up(s.id, now)) continue;  // podset power-down: agent is gone
@@ -290,7 +291,7 @@ void PingmeshSimulation::tick_agents(SimTime now) {
   // Serial phase 1 (after the barrier): pinglist fetches in server-id
   // order. A newly adopted pinglist may have probes due immediately; they
   // run here too (refresh ticks only, so the serialization is cheap).
-  agent::PingmeshAgent::TickActions& more = shard_scratch_[0];  // free after barrier
+  agent::PingmeshAgent::TickActions& more = shard_scratch_[0].actions;  // free after barrier
   for (const topo::Server& s : servers) {
     if (wants_fetch[s.id.value] == 0) continue;
     agent::PingmeshAgent& ag = *agents_[s.id.value];

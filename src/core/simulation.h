@@ -14,7 +14,6 @@
 // the seed.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -25,6 +24,7 @@
 #include "autopilot/watchdog.h"
 #include "common/annotations.h"
 #include "common/clock.h"
+#include "common/sharded_counter.h"
 #include "common/thread_pool.h"
 #include "controller/generator.h"
 #include "controller/service.h"
@@ -158,9 +158,7 @@ class PingmeshSimulation {
   [[nodiscard]] agent::RecordColumns records_between(SimTime from, SimTime to) const;
 
   // --- aggregate statistics -------------------------------------------------
-  [[nodiscard]] std::uint64_t total_probes() const {
-    return total_probes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t total_probes() const { return total_probes_.read(); }
   /// Decoded-extent cache statistics (SCOPE scan path).
   [[nodiscard]] const dsa::DecodedExtentCache& scan_cache() const { return scan_cache_; }
   /// Malformed rows dropped while decoding extents on the scan path. Must
@@ -213,13 +211,18 @@ class PingmeshSimulation {
   mutable dsa::DecodedExtentCache scan_cache_;
   /// Runs the agent tick; a pool of 1 runs it inline on the driver thread.
   ThreadPool pool_;
-  /// Per-shard TickActions arenas, indexed by shard. Shard i always runs on
-  /// the same pool thread, so its scratch stays core-local across ticks and
-  /// the steady-state tick allocates nothing.
-  std::vector<agent::PingmeshAgent::TickActions> shard_scratch_;
+  /// One shard's TickActions arena, on a cache line of its own: a shard
+  /// writes its vector header on every probe request it pushes.
+  struct alignas(kCacheLineBytes) ShardScratch {
+    agent::PingmeshAgent::TickActions actions;
+  };
+  /// Per-shard arenas, indexed by shard. Shard i always runs on the same
+  /// pool thread, so its scratch stays core-local across ticks and the
+  /// steady-state tick allocates nothing.
+  std::vector<ShardScratch> shard_scratch_;
   std::vector<std::unique_ptr<agent::PingmeshAgent>> agents_;  // by ServerId
   std::unordered_map<IpAddr, std::vector<ServerId>> vips_;
-  std::atomic<std::uint64_t> total_probes_{0};
+  ShardedCounter total_probes_;
   SimTime last_pa_alert_check_ = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "dsa/extent_codec.h"
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "common/check.h"
 
 namespace pingmesh::dsa {
 
@@ -10,12 +12,14 @@ namespace {
 
 constexpr char kMagic = static_cast<char>(0xC1);
 
-void put_varint(std::string& out, std::uint64_t v) {
+/// Writes `v` as a varint at `p`; returns the byte past it.
+char* put_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 std::uint64_t zigzag(std::int64_t v) {
@@ -37,11 +41,12 @@ bool get_varint(std::string_view data, std::size_t& pos, std::uint64_t& v) {
   return false;  // > 10 continuation bytes: not a valid 64-bit varint
 }
 
-void put_u32le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+char* put_u32le(char* p, std::uint32_t v) {
+  *p++ = static_cast<char>(v & 0xFF);
+  *p++ = static_cast<char>((v >> 8) & 0xFF);
+  *p++ = static_cast<char>((v >> 16) & 0xFF);
+  *p++ = static_cast<char>((v >> 24) & 0xFF);
+  return p;
 }
 
 bool get_u32le(std::string_view data, std::size_t& pos, std::uint32_t& v) {
@@ -54,63 +59,106 @@ bool get_u32le(std::string_view data, std::size_t& pos, std::uint32_t& v) {
   return true;
 }
 
+// Longest varints, in bytes, of a 64-, 32- and 16-bit value.
+constexpr std::size_t kVarint64 = 10;
+constexpr std::size_t kVarint32 = 5;
+constexpr std::size_t kVarint16 = 3;
+/// The most one row can take: two dictionary indexes, the timestamp delta,
+/// two ports, the flags byte, two RTTs and the payload size.
+constexpr std::size_t kMaxRowBytes =
+    2 * kVarint32 + kVarint64 + 2 * kVarint16 + 1 + 2 * kVarint64 + kVarint32;
+
+/// The src/dst IP dictionary of one batch, in first-appearance order, with
+/// an open-addressing index sized to the batch: at most 2n addresses for n
+/// rows, in a power-of-two table kept at most half full.
+class IpDictionary {
+ public:
+  explicit IpDictionary(std::size_t rows) {
+    std::size_t capacity = 16;
+    while (capacity < 4 * rows) capacity *= 2;
+    slots_.assign(capacity, kFree);
+    shift_ = 64 - std::countr_zero(capacity);
+    ips_.reserve(2 * rows);
+  }
+
+  /// The dictionary index of `ip`, adding it if it is new.
+  std::uint32_t intern(std::uint32_t ip) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (ip * 0x9E3779B97F4A7C15ull) >> shift_;; i = (i + 1) & mask) {
+      const std::uint32_t idx = slots_[i];
+      if (idx == kFree) {
+        slots_[i] = static_cast<std::uint32_t>(ips_.size());
+        ips_.push_back(ip);
+        return slots_[i];
+      }
+      if (ips_[idx] == ip) return idx;
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::uint32_t>& ips() const { return ips_; }
+
+ private:
+  static constexpr std::uint32_t kFree = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> slots_;  // dictionary index, or kFree
+  std::vector<std::uint32_t> ips_;
+  int shift_ = 0;
+};
+
 }  // namespace
 
-std::string encode_columnar(const agent::RecordColumns& batch, std::size_t from) {
-  const std::size_t total = batch.size();
-  const std::size_t n = from < total ? total - from : 0;
-  std::string out;
-  out.reserve(2 + n * 8);
-  out.push_back(kMagic);
-  put_varint(out, n);
-  if (n == 0) return out;
-
-  const std::uint32_t* src = batch.src_ips() + from;
-  const std::uint32_t* dst = batch.dst_ips() + from;
+std::string encode_columnar(const agent::RecordColumns& batch) {
+  const std::size_t n = batch.size();
+  if (n == 0) return std::string{kMagic, '\0'};
 
   // Shared src/dst IP dictionary in first-appearance order: a batch from one
   // agent has 1 src and a pinglist's worth of dsts, so indexes stay tiny.
-  std::unordered_map<std::uint32_t, std::uint32_t> index;
-  std::vector<std::uint32_t> dict;
-  index.reserve(64);
-  auto intern = [&](std::uint32_t ip) {
-    auto [it, fresh] = index.emplace(ip, static_cast<std::uint32_t>(dict.size()));
-    if (fresh) dict.push_back(ip);
-    return it->second;
-  };
-  std::vector<std::uint32_t> src_idx(n), dst_idx(n);
-  for (std::size_t i = 0; i < n; ++i) src_idx[i] = intern(src[i]);
-  for (std::size_t i = 0; i < n; ++i) dst_idx[i] = intern(dst[i]);
+  IpDictionary dict(n);
+  std::vector<std::uint32_t> idx(2 * n);
+  const std::uint32_t* src = batch.src_ips();
+  const std::uint32_t* dst = batch.dst_ips();
+  for (std::size_t i = 0; i < n; ++i) idx[i] = dict.intern(src[i]);
+  for (std::size_t i = 0; i < n; ++i) idx[n + i] = dict.intern(dst[i]);
+  const std::vector<std::uint32_t>& ips = dict.ips();
 
-  put_varint(out, dict.size());
-  for (std::uint32_t ip : dict) put_u32le(out, ip);
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, src_idx[i]);
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, dst_idx[i]);
+  // Write through a pointer into a buffer sized for the longest encoding,
+  // then trim it once.
+  std::string out(1 + 2 * kVarint64 + 4 * ips.size() + kMaxRowBytes * n, '\0');
+  char* const begin = out.data();
+  char* p = begin;
+  *p++ = kMagic;
+  p = put_varint(p, n);
+  p = put_varint(p, ips.size());
+  for (std::uint32_t ip : ips) p = put_u32le(p, ip);
+  for (std::uint32_t i : idx) p = put_varint(p, i);
 
-  const SimTime* ts = batch.timestamps() + from;
-  put_varint(out, zigzag(ts[0]));
-  for (std::size_t i = 1; i < n; ++i) put_varint(out, zigzag(ts[i] - ts[i - 1]));
+  const SimTime* ts = batch.timestamps();
+  p = put_varint(p, zigzag(ts[0]));
+  for (std::size_t i = 1; i < n; ++i) p = put_varint(p, zigzag(ts[i] - ts[i - 1]));
 
-  const std::uint16_t* sp = batch.src_ports() + from;
-  const std::uint16_t* dp = batch.dst_ports() + from;
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, sp[i]);
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, dp[i]);
+  const std::uint16_t* sp = batch.src_ports();
+  const std::uint16_t* dp = batch.dst_ports();
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, sp[i]);
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, dp[i]);
 
-  const std::uint8_t* kind = batch.kinds() + from;
-  const std::uint8_t* qos = batch.qos() + from;
-  const std::uint8_t* ok = batch.successes() + from;
-  const std::uint8_t* pok = batch.payload_successes() + from;
+  const std::uint8_t* kind = batch.kinds();
+  const std::uint8_t* qos = batch.qos();
+  const std::uint8_t* ok = batch.successes();
+  const std::uint8_t* pok = batch.payload_successes();
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<char>((kind[i] & 0x3) | ((qos[i] & 0x1) << 2) |
-                                    ((ok[i] & 0x1) << 3) | ((pok[i] & 0x1) << 4)));
+    *p++ = static_cast<char>((kind[i] & 0x3) | ((qos[i] & 0x1) << 2) |
+                             ((ok[i] & 0x1) << 3) | ((pok[i] & 0x1) << 4));
   }
 
-  const SimTime* rtt = batch.rtts() + from;
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, zigzag(rtt[i]));
-  const SimTime* prtt = batch.payload_rtts() + from;
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, zigzag(prtt[i]));
-  const std::uint32_t* pbytes = batch.payload_bytes() + from;
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, pbytes[i]);
+  const SimTime* rtt = batch.rtts();
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, zigzag(rtt[i]));
+  const SimTime* prtt = batch.payload_rtts();
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, zigzag(prtt[i]));
+  const std::uint32_t* pbytes = batch.payload_bytes();
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, pbytes[i]);
+
+  const auto written = static_cast<std::size_t>(p - begin);
+  PINGMESH_DCHECK(written <= out.size());
+  out.resize(written);
   return out;
 }
 

@@ -35,8 +35,8 @@
 
 namespace pingmesh::dsa {
 
-/// Encode rows [from, size()) of `batch` as one binary block.
-std::string encode_columnar(const agent::RecordColumns& batch, std::size_t from = 0);
+/// Encode `batch` as one binary block.
+std::string encode_columnar(const agent::RecordColumns& batch);
 
 /// Decode one block starting at data[pos]; appends rows to `out` and
 /// advances pos past the block. Returns false when the block is malformed

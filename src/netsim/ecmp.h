@@ -10,8 +10,11 @@
 // is what makes packet black-holes deterministic per connection.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "topology/topology.h"
 
@@ -22,10 +25,33 @@ struct Hop {
   SwitchId sw;
 };
 
+/// The hops of one path, held inline: the longest path, cross-DC, has
+/// kCapacity hops, so resolving a path allocates nothing.
+class HopList {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+
+  void push_back(Hop hop) {
+    PINGMESH_CHECK(size_ < kCapacity);
+    hops_[size_++] = hop;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const Hop& operator[](std::size_t i) const { return hops_[i]; }
+  [[nodiscard]] const Hop& front() const { return hops_[0]; }
+  [[nodiscard]] const Hop& back() const { return hops_[size_ - 1]; }
+  [[nodiscard]] const Hop* begin() const { return hops_.data(); }
+  [[nodiscard]] const Hop* end() const { return hops_.data() + size_; }
+
+ private:
+  std::array<Hop, kCapacity> hops_;
+  std::uint8_t size_ = 0;
+};
+
 /// Resolved unidirectional path between two servers. Does not include the
 /// end hosts. Empty for src == dst (loopback).
 struct Path {
-  std::vector<Hop> hops;
+  HopList hops;
   bool cross_dc = false;
   bool cross_podset = false;
   bool cross_pod = false;

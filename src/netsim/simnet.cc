@@ -106,7 +106,7 @@ bool SimNetwork::server_up(ServerId server, SimTime now) const {
 
 PacketResult SimNetwork::send_packet(const FiveTuple& tuple, int size_bytes, SimTime now,
                                      bool low_priority) const {
-  packets_sent_.fetch_add(1, std::memory_order_relaxed);
+  packets_sent_.add();
   PacketResult r;
 
   ServerId src = topo_->server_by_ip(tuple.src_ip);
@@ -328,7 +328,7 @@ std::optional<SwitchId> SimNetwork::traceroute_hop(const FiveTuple& tuple, int t
   Path path = router_.resolve(tuple);
   if (static_cast<std::size_t>(ttl) > path.hops.size()) return std::nullopt;
 
-  packets_sent_.fetch_add(1, std::memory_order_relaxed);
+  packets_sent_.add();
   CounterRng rng = stream_for(tuple, now, kSaltTraceroute);
   // The probe must survive hops 1..ttl-1; the hop at `ttl` answers.
   for (int i = 0; i < ttl; ++i) {

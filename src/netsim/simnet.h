@@ -18,12 +18,12 @@
 // Mutators (set_dc_profile, faults()) must not race with in-flight probes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sharded_counter.h"
 #include "common/types.h"
 #include "netsim/ecmp.h"
 #include "netsim/fault.h"
@@ -133,9 +133,7 @@ class SimNetwork {
   [[nodiscard]] bool server_up(ServerId server, SimTime now) const;
 
   /// Number of packets simulated so far (throughput accounting in benches).
-  [[nodiscard]] std::uint64_t packets_sent() const {
-    return packets_sent_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_.read(); }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -157,7 +155,7 @@ class SimNetwork {
   std::vector<DcProfile> dc_profiles_;
   std::unordered_map<std::uint64_t, WanProfile> wan_profiles_;
   WanProfile default_wan_;
-  mutable std::atomic<std::uint64_t> packets_sent_{0};
+  mutable ShardedCounter packets_sent_;
 };
 
 }  // namespace pingmesh::netsim

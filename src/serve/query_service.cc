@@ -1,6 +1,7 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -62,20 +63,28 @@ void parse_path(const std::string& path, std::string* endpoint,
   }
 }
 
-std::optional<long> param_long(const std::unordered_map<std::string, std::string>& params,
-                               const std::string& key) {
+/// `key` as a positive decimal integer no larger than `max`: nullopt when
+/// the parameter is absent, 0 when it is anything else (empty, signed, not
+/// all digits, 0 itself, or above `max`).
+std::optional<std::int64_t> positive_param(
+    const std::unordered_map<std::string, std::string>& params, const std::string& key,
+    std::int64_t max) {
   auto it = params.find(key);
   if (it == params.end()) return std::nullopt;
-  char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
+  const std::string& text = it->second;
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v <= 0 || v > max) return 0;
   return v;
 }
 
-/// The 400 answer to a numeric parameter its type cannot hold.
+/// The 400 answer to a numeric parameter that is not a positive integer
+/// its type can hold.
 std::string param_out_of_range(const char* param, int* status) {
   *status = 400;
-  return std::string("{\"error\":\"") + param + " out of range\"}";
+  return std::string("{\"error\":\"") + param +
+         " out of range: want a positive decimal integer\"}";
 }
 
 }  // namespace
@@ -105,9 +114,10 @@ void QueryService::enable_observability(obs::MetricsRegistry& registry) {
 }
 
 std::optional<SimTime> QueryService::window_from_params(const Params& params) const {
-  auto m = param_long(params, "minutes");
-  if (!m || *m <= 0) return kDefaultWindow;
-  if (*m > std::numeric_limits<SimTime>::max() / kNanosPerMinute) return std::nullopt;
+  auto m = positive_param(params, "minutes",
+                          std::numeric_limits<SimTime>::max() / kNanosPerMinute);
+  if (!m) return kDefaultWindow;
+  if (*m == 0) return std::nullopt;
   return minutes(*m);
 }
 
@@ -282,8 +292,8 @@ std::string QueryService::render_sla(const Params& params, int* status,
 std::string QueryService::render_topk(const Params& params, int* status,
                                       std::uint64_t* version) {
   int k = kDefaultTopk;
-  if (auto v = param_long(params, "k"); v && *v > 0) {
-    if (*v > std::numeric_limits<int>::max()) return param_out_of_range("k", status);
+  if (auto v = positive_param(params, "k", std::numeric_limits<int>::max())) {
+    if (*v == 0) return param_out_of_range("k", status);
     k = static_cast<int>(*v);
   }
   std::string metric = "p99";

@@ -8,6 +8,9 @@
 //   GET /query/sla?service=Search&minutes=60    one service's SLA summary
 //   GET /query/topk?k=10&metric=p99&minutes=60  worst pairs by p99|drop|failure
 //
+// `minutes` (default 60) and `k` (default 10) must be positive decimal
+// integers their types can hold; any other value answers 400.
+//
 // Serving machinery for the "millions of users" read path:
 //  - every 200 carries an ETag derived from (store version, request path);
 //    If-None-Match revalidation returns 304 with no body — a dashboard
@@ -128,8 +131,8 @@ class QueryService {
                                        std::uint64_t* version);
   [[nodiscard]] std::string render_topk(const Params& params, int* status,
                                         std::uint64_t* version);
-  /// The ?minutes= window (an hour without one); nullopt when its span
-  /// does not fit in SimTime.
+  /// The ?minutes= window (an hour without one); nullopt when the value
+  /// is not a positive decimal integer or its span does not fit in SimTime.
   [[nodiscard]] std::optional<SimTime> window_from_params(const Params& params) const;
 
   const topo::Topology* topo_;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/check.h"
+
 namespace pingmesh::topo {
 
 const char* switch_kind_name(SwitchKind kind) {
@@ -99,7 +101,6 @@ Topology Topology::build(const std::vector<DcSpec>& specs) {
           char sname[96];
           std::snprintf(sname, sizeof(sname), "%s-PS%d-P%d-S%d", spec.name.c_str(), ps, p, s);
           t.servers_.push_back(Server{sid, ip, sname, dc_id, podset_id, pod_id, tor_id, s});
-          t.by_ip_.emplace(ip, sid);
           pod.servers.push_back(sid);
           dc.servers.push_back(sid);
           ++server_index_in_dc;
@@ -116,15 +117,21 @@ Topology Topology::build(const std::vector<DcSpec>& specs) {
 }
 
 ServerId Topology::server_by_ip(IpAddr ip) const {
-  auto it = by_ip_.find(ip);
-  if (it == by_ip_.end()) throw std::out_of_range("unknown server ip " + ip.str());
-  return it->second;
+  std::optional<ServerId> id = find_server_by_ip(ip);
+  if (!id) throw std::out_of_range("unknown server ip " + ip.str());
+  return *id;
 }
 
 std::optional<ServerId> Topology::find_server_by_ip(IpAddr ip) const {
-  auto it = by_ip_.find(ip);
-  if (it == by_ip_.end()) return std::nullopt;
-  return it->second;
+  // The IP plan of build(): 10.(dc).(index in DC), and a DC's servers hold
+  // consecutive ids in that order.
+  if ((ip.v >> 24) != 10u) return std::nullopt;
+  const std::uint32_t dc = (ip.v >> 16) & 0xFFu;
+  const std::uint32_t index = ip.v & 0xFFFFu;
+  if (dc >= dcs_.size() || index >= dcs_[dc].servers.size()) return std::nullopt;
+  const ServerId id{dcs_[dc].servers.front().value + index};
+  PINGMESH_DCHECK(servers_[id.value].ip == ip);
+  return id;
 }
 
 bool Topology::same_pod(ServerId a, ServerId b) const {

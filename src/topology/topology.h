@@ -103,9 +103,11 @@ class Topology {
   [[nodiscard]] std::size_t server_count() const { return servers_.size(); }
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
 
-  /// Lookup by IP; throws std::out_of_range for unknown addresses.
+  /// Lookup by IP, computed from the IP plan (no table); throws
+  /// std::out_of_range for an address outside it.
   [[nodiscard]] ServerId server_by_ip(IpAddr ip) const;
-  /// Lookup by IP; nullopt for unknown addresses.
+  /// Lookup by IP, computed from the IP plan; nullopt for an address
+  /// outside it.
   [[nodiscard]] std::optional<ServerId> find_server_by_ip(IpAddr ip) const;
 
   // -- relationship helpers -----------------------------------------------
@@ -133,7 +135,6 @@ class Topology {
   std::vector<Pod> pods_;
   std::vector<Podset> podsets_;
   std::vector<DataCenter> dcs_;
-  std::unordered_map<IpAddr, ServerId> by_ip_;
 };
 
 /// Canonical small/medium/large shapes used by tests, examples, and benches.

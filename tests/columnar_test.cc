@@ -3,6 +3,8 @@
 // worker-count byte-identity contract with columnar extents enabled.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,83 @@ TEST(ExtentCodec, RoundTripsGoldenBatch) {
   EXPECT_EQ(stats.rows_decoded, cols.size());
   // Field-exact equality via the canonical CSV rendering.
   EXPECT_EQ(back.encode_csv(), cols.encode_csv());
+}
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Rows at the format's limits: 65 rows with a fresh src and dst each (130
+/// dictionary entries, so later indexes take two bytes), timestamps that
+/// swing by 2^63 - 1 both ways, and RTTs, ports and payload sizes at their
+/// type limits, so each of those varints takes its longest form.
+RecordColumns extremes_batch() {
+  RecordColumns cols;
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  for (std::uint32_t i = 0; i < 65; ++i) {
+    LatencyRecord r;
+    r.timestamp = i % 2 == 0 ? kMin : -1;
+    r.src_ip = IpAddr(0xFFFFFF00u - i);
+    r.dst_ip = IpAddr(i);
+    r.src_port = 0xFFFF;
+    r.dst_port = static_cast<std::uint16_t>(0xFFFF - i);
+    r.kind = static_cast<controller::ProbeKind>(i % 3);
+    r.qos = i % 2 == 0 ? controller::QosClass::kHigh : controller::QosClass::kLow;
+    r.success = i % 3 != 1;
+    r.payload_success = i % 4 == 0;
+    r.rtt = i % 2 == 0 ? kMin : kMax;
+    r.payload_rtt = i % 2 == 0 ? kMax : kMin;
+    r.payload_bytes = 0xFFFFFFFFu;
+    cols.push_back(r);
+  }
+  return cols;
+}
+
+// The exact output bytes of the format, written against the first
+// implementation: a rewrite of the encoder must reproduce every byte, which
+// a round trip alone would not show.
+TEST(ExtentCodec, EncodesToPinnedBytes) {
+  EXPECT_EQ(to_hex(dsa::encode_columnar(agent::to_columns(golden_batch()))),
+            "c105050100000a0200000a0300000a0201000a0301000a000001020003040300038090dfc04a"
+            "0080d0acf30efff782ad1680f085da2cc0b802c0b802c0b802c0b802c0b802cc8202cc8202cc"
+            "8202cc8202cc82020808001d0aa0c21ee0eb25809bee02e09817c0843d000000c0a23300000000"
+            "808004a006");
+
+  const RecordColumns extremes = extremes_batch();
+  const std::string blob = dsa::encode_columnar(extremes);
+  EXPECT_EQ(blob.size(), 3386u);
+  EXPECT_EQ(fnv1a64(blob), 4211954378528462432ull);
+  EXPECT_EQ(to_hex(blob.substr(0, 12)), "c141820100fffffffffeffff");
+  // The longest any row can take: two dictionary indexes (5-byte varints of
+  // a u32), the timestamp delta (10), two ports (3 each), the flags byte,
+  // two RTTs (10 each) and the payload size (5). With the magic byte, two
+  // 10-byte counts and 4 bytes per dictionary entry, that bounds a block;
+  // the extremes batch comes within the short index varints of it.
+  constexpr std::size_t kMaxRowBytes = 5 + 5 + 10 + 3 + 3 + 1 + 10 + 10 + 5;
+  const std::size_t rows = extremes.size();
+  const std::size_t dict = 2 * rows;
+  const std::size_t bound = 1 + 10 + 10 + 4 * dict + kMaxRowBytes * rows;
+  EXPECT_LE(blob.size(), bound);
+  EXPECT_GE(blob.size() + 21 + 8 * rows, bound);
+  const RecordColumns back = dsa::decode_columnar(blob);
+  EXPECT_EQ(back.encode_csv(), extremes.encode_csv());
 }
 
 TEST(ExtentCodec, BinaryIsSmallerThanCsv) {

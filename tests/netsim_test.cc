@@ -89,6 +89,17 @@ TEST(EcmpRouter, CrossDcPathShape) {
   EXPECT_NE(t.sw(p.hops[3].sw).dc, t.sw(p.hops[4].sw).dc);
 }
 
+TEST(EcmpRouterDeathTest, HopListHoldsTheLongestPathAndNoMore) {
+  // The cross-DC path fills the inline hop list; a ninth hop is a bug.
+  HopList hops;
+  for (std::size_t i = 0; i < HopList::kCapacity; ++i) {
+    hops.push_back(Hop{SwitchId{static_cast<std::uint32_t>(i)}});
+  }
+  EXPECT_EQ(hops.size(), HopList::kCapacity);
+  EXPECT_EQ(hops.back().sw.value, HopList::kCapacity - 1);
+  EXPECT_DEATH(hops.push_back(Hop{SwitchId{99}}), "PINGMESH_CHECK failed");
+}
+
 TEST(EcmpRouter, DeterministicPerTuple) {
   topo::Topology t = two_dcs();
   EcmpRouter router(t);

@@ -114,6 +114,9 @@ TEST(ParallelProbes, ConcurrentProbesMatchSerialOutcomes) {
                               netsim::ProbeSpec{}, millis(i));
   }
 
+  const std::uint64_t serial_packets = net.packets_sent();
+  ASSERT_GT(serial_packets, 0u);
+
   std::vector<netsim::ProbeOutcome> concurrent(kProbes);
   std::vector<std::thread> threads;
   constexpr int kThreads = 4;
@@ -133,15 +136,28 @@ TEST(ParallelProbes, ConcurrentProbesMatchSerialOutcomes) {
     EXPECT_EQ(serial[i].success, concurrent[i].success) << "probe " << i;
     EXPECT_EQ(serial[i].rtt, concurrent[i].rtt) << "probe " << i;
   }
+  // Every packet the threads sent is counted once, whichever thread's
+  // counter slot it landed in.
+  EXPECT_EQ(net.packets_sent() - serial_packets, serial_packets);
 }
 
 // ---------------------------------------------------------------------------
 // Full-loop bit-identity: 1 worker vs N workers
 // ---------------------------------------------------------------------------
 
+/// One stored extent's identity: its id, record count and checksum.
+struct ExtentId {
+  std::uint64_t id = 0;
+  std::uint64_t records = 0;
+  std::uint32_t checksum = 0;
+  bool operator==(const ExtentId&) const = default;
+};
+
 struct SimSnapshot {
   std::uint64_t probes = 0;
+  std::uint64_t packets = 0;
   std::string records;
+  std::vector<ExtentId> extents;
   std::vector<dsa::SlaRow> sla;
 };
 
@@ -152,7 +168,11 @@ SimSnapshot run_simulation(int workers) {
   sim.run_for(minutes(20));
   SimSnapshot snap;
   snap.probes = sim.total_probes();
+  snap.packets = sim.net().packets_sent();
   snap.records = sim.records_between(0, sim.now() + 1).encode_csv();
+  for (const dsa::Extent& e : sim.cosmos().stream(dsa::kLatencyStream).extents()) {
+    snap.extents.push_back(ExtentId{e.id, e.record_count, e.checksum});
+  }
   snap.sla = sim.db().sla_rows;
   return snap;
 }
@@ -163,7 +183,12 @@ TEST(ParallelSimulation, WorkerCountDoesNotChangeResults) {
 
   EXPECT_GT(serial.probes, 0u);
   EXPECT_EQ(serial.probes, parallel.probes);
+  EXPECT_GT(serial.packets, serial.probes);
+  EXPECT_EQ(serial.packets, parallel.packets);
   EXPECT_EQ(serial.records, parallel.records);  // byte-identical stored stream
+  // The stored extents themselves, encoded bytes included via the checksum.
+  ASSERT_FALSE(serial.extents.empty());
+  EXPECT_EQ(serial.extents, parallel.extents);
 
   ASSERT_EQ(serial.sla.size(), parallel.sla.size());
   for (std::size_t i = 0; i < serial.sla.size(); ++i) {

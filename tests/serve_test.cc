@@ -468,6 +468,35 @@ TEST_F(QueryServiceTest, TopkBeyondIntIs400) {
   EXPECT_NE(resp.body.find("k out of range"), std::string::npos);
 }
 
+TEST_F(QueryServiceTest, MalformedMinutesIs400) {
+  // Not a positive decimal integer: a bad request, not the default 1 h
+  // window, on every endpoint.
+  serve::QueryService svc(topo_, *store_, &services_);
+  for (const char* bad : {"abc", "", "0", "-5", "12x", "+5", " 5"}) {
+    const std::string m = std::string("minutes=") + bad;
+    auto resp = get(svc, "/query/heatmap?" + m);
+    EXPECT_EQ(resp.status, 400) << m;
+    EXPECT_NE(resp.body.find("minutes out of range"), std::string::npos) << m;
+    EXPECT_EQ(get(svc, "/query/sla?service=Search&" + m).status, 400) << m;
+    EXPECT_EQ(get(svc, "/query/topk?metric=p99&" + m).status, 400) << m;
+  }
+  EXPECT_EQ(get(svc, "/query/heatmap?minutes=5").status, 200);
+  EXPECT_EQ(get(svc, "/query/heatmap").status, 200);
+}
+
+TEST_F(QueryServiceTest, MalformedTopkIs400) {
+  // Not a positive decimal integer: a bad request, not the default top 10.
+  serve::QueryService svc(topo_, *store_, &services_);
+  for (const char* bad : {"abc", "", "0", "-5", "12x", "+5", " 5"}) {
+    const std::string k = std::string("k=") + bad;
+    auto resp = get(svc, "/query/topk?metric=p99&minutes=60&" + k);
+    EXPECT_EQ(resp.status, 400) << k;
+    EXPECT_NE(resp.body.find("k out of range"), std::string::npos) << k;
+  }
+  EXPECT_EQ(get(svc, "/query/topk?metric=p99&minutes=60&k=3").status, 200);
+  EXPECT_EQ(get(svc, "/query/topk?metric=p99&minutes=60").status, 200);
+}
+
 TEST_F(QueryServiceTest, EtagRevalidationAnd304Flow) {
   serve::QueryService svc(topo_, *store_, &services_);
   auto first = get(svc, "/query/heatmap?minutes=60");

@@ -59,9 +59,25 @@ TEST(Topology, IpLookup) {
   Topology t = two_small_dcs();
   for (const Server& s : t.servers()) {
     EXPECT_EQ(t.server_by_ip(s.ip), s.id);
+    EXPECT_EQ(t.find_server_by_ip(s.ip), s.id);
   }
-  EXPECT_FALSE(t.find_server_by_ip(IpAddr(1, 2, 3, 4)).has_value());
-  EXPECT_THROW((void)t.server_by_ip(IpAddr(1, 2, 3, 4)), std::out_of_range);
+  // The second DC's servers follow the first's: its first server, 10.1.0.0,
+  // has the id equal to the first DC's server count.
+  const std::size_t dc1_servers = t.dcs()[0].servers.size();
+  EXPECT_EQ(t.server_by_ip(IpAddr(10, 1, 0, 0)).value, dc1_servers);
+
+  // Addresses just outside the plan: a DC past the last, and the first
+  // unassigned index of each DC.
+  std::vector<IpAddr> outside = {IpAddr(1, 2, 3, 4),
+                                 IpAddr(10, static_cast<std::uint8_t>(t.dcs().size()), 0, 0)};
+  for (const DataCenter& dc : t.dcs()) {
+    const auto next = static_cast<std::uint32_t>(dc.servers.size());
+    outside.push_back(IpAddr((10u << 24) | (dc.id.value << 16) | next));
+  }
+  for (IpAddr ip : outside) {
+    EXPECT_FALSE(t.find_server_by_ip(ip).has_value()) << ip.str();
+    EXPECT_THROW((void)t.server_by_ip(ip), std::out_of_range) << ip.str();
+  }
 }
 
 TEST(Topology, Relations) {

@@ -359,6 +359,13 @@ int cmd_query_serve(const Args& args, const std::string& endpoint) {
   core::SimulationConfig cfg =
       core::streaming_test_config(args.flag_num<std::uint64_t>("seed", 42));
   long sim_mins = args.flag_duration("sim-minutes", 10L, kNanosPerMinute);
+  // The service answers 400 to these; reject them before simulating.
+  long window_mins = args.flag_duration("minutes", 60L, kNanosPerMinute);
+  if (window_mins == 0) {
+    throw UsageError("invalid value for --minutes: " + args.flag("minutes", ""));
+  }
+  int k = args.flag_num("k", 10);
+  if (k <= 0) throw UsageError("invalid value for --k: " + args.flag("k", ""));
   core::PingmeshSimulation sim(cfg);
   const topo::Topology& topo = sim.topology();
   sim.services().add_service("Search", topo.pod(PodId{0}).servers);
@@ -379,10 +386,10 @@ int cmd_query_serve(const Args& args, const std::string& endpoint) {
                static_cast<long long>((store.now() - store.sealed_until(0)) /
                                       kNanosPerSecond));
 
-  std::string path = "/query/" + endpoint + "?minutes=" + args.flag("minutes", "60");
+  std::string path = "/query/" + endpoint + "?minutes=" + std::to_string(window_mins);
   if (endpoint == "sla") path += "&service=" + args.flag("service", "Search");
   if (endpoint == "topk") {
-    path += "&k=" + args.flag("k", "10") + "&metric=" + args.flag("metric", "p99");
+    path += "&k=" + std::to_string(k) + "&metric=" + args.flag("metric", "p99");
   }
   if (args.flags.count("dc") != 0) path += "&dc=" + args.flag("dc", "");
 

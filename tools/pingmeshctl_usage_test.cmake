@@ -24,3 +24,6 @@ expect_usage_error("invalid value for <src-index>: -5" traceroute -5 0)
 expect_usage_error("invalid value for <server-index>: 4294967296" pinglist 4294967296)
 expect_usage_error("invalid value for --port: 70000" traceroute 0 1 --port 70000)
 expect_usage_error("invalid value for --seed: 7x" drops --seed 7x)
+# The serving query rejects a malformed window or count before it simulates.
+expect_usage_error("invalid value for --minutes: abc" query heatmap --minutes abc)
+expect_usage_error("invalid value for --k: 0" query topk --k 0)
